@@ -279,8 +279,8 @@ fn overload_sojourn_p99(scale: usize) -> (usize, usize, usize, f64) {
 /// One of four nodes dies at the midpoint of the stream. Three numbers
 /// come out: the clean run's throughput, the faulty run's throughput,
 /// and the worst single-submission stall of the faulty run — the
-/// submission that absorbs the death pays for detection (the typed
-/// `ERR_NODE_FAILED` frame), the stranded-job requeue and its own
+/// submission that absorbs the death pays for detection (the agent's
+/// death frame), the stranded-job requeue and its own
 /// re-placement, all inside one `submit` call. Correctness is asserted
 /// inline (every job completes on the survivors, the requeue is
 /// counted); the series exists to keep that recovery path *fast*.

@@ -19,23 +19,26 @@
 //! 0, node rank 1), and node `i` runs a **node agent** thread owning
 //! its executor. Private links — rather than one shared N+1-rank
 //! communicator — mean membership churn never resizes a shared rank
-//! space and a dead node can never wedge a collective. Three planes
-//! share each link:
+//! space and a dead node can never wedge a collective. The link
+//! carries typed in-process frames: a command enum down (the job
+//! specs, graphs included, ride inside it), a reply enum up whose
+//! `Result` holds the node's real `JobStats`, `StreamStats`,
+//! `ExecExtras`, snapshot or trace spans — or its typed
+//! [`ExecError`]. Nothing is encoded, so nothing can misframe; a
+//! socket transport would add a codec at this boundary. Tags keep the
+//! planes apart:
 //!
-//! * **control** — submit/wait/drain/shutdown commands and their
-//!   acknowledgements as point-to-point messages (graphs themselves
-//!   move through an in-process side channel; `das_msg` payloads are
-//!   `f64` rows, and task closures could never transit a wire format —
-//!   on a real deployment this channel is the RPC body);
-//! * **load** — after *every* command a node pushes its
-//!   outstanding-job count back over the message layer; the dispatcher
-//!   collapses the backlog with [`das_msg::Endpoint::try_recv_latest`]
-//!   and routes by [`RoutePolicy`] (round-robin, least-outstanding, or
-//!   seeded power-of-two-choices) over that view, skipping dead nodes;
+//! * **control** — one command frame per submit/wait/drain/shutdown
+//!   (one per node for a batch), answered by one reply frame;
+//! * **load** — before every admission, wait or drain reply a node
+//!   pushes its outstanding-job count; the dispatcher collapses the
+//!   backlog with [`das_msg::Endpoint::try_recv_latest`] and routes by
+//!   [`RoutePolicy`] (round-robin, least-outstanding, or seeded
+//!   power-of-two-choices) over that view, skipping dead nodes;
+//! * **metrics** — when the sessions enable it, a node snapshot rides
+//!   just ahead of the load report, under the same fault decision;
 //! * **stats** — `drain` sends every live node one command and reads
-//!   back one combined reply `[ACK_OK, jobs, tasks, records…, extras]`
-//!   whose header cross-checks the decoded records — a wire-format
-//!   regression trips an assert, not a silently wrong percentile.
+//!   back its drained stream and extras in one reply.
 //!
 //! ## Failure domains and recovery
 //!
@@ -43,10 +46,10 @@
 //! and bounded exponential backoff ([`das_msg::Endpoint::recv_backoff`])
 //! and surfaces a typed [`ExecError::Timeout`] instead of hanging. A
 //! node-agent panic is caught at the thread boundary; the wrapper
-//! publishes a down flag and sends `ERR_NODE_FAILED` as its last frame,
-//! so the blocked dispatcher learns of the death *deterministically* —
-//! as a frame, not a timeout race — and decodes it into
-//! [`ExecError::NodeFailed`].
+//! publishes a down flag and sends a death frame as its last frame, so
+//! the blocked dispatcher learns of the death *deterministically* — as
+//! a frame, not a timeout race — and turns it into
+//! [`ExecError::NodeFailed`] for the link it arrived on.
 //!
 //! On a detected death the dispatcher repairs the cluster from its
 //! **spec ledger** (enabled by [`Cluster::enable_recovery`]; on by
@@ -151,7 +154,6 @@ pub use route::RoutePolicy;
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -161,16 +163,14 @@ use das_core::fault::{FaultKind, FaultPlane};
 use das_core::jobs::{JobId, JobSpec, JobStats, StreamStats};
 use das_core::metrics::{ExecProbe, MetricKind, MetricsConfig, MetricsReport, NodeSnapshot};
 use das_dag::Dag;
-use das_msg::{Communicator, Endpoint, Payload};
+use das_msg::{Communicator, Endpoint};
 use das_runtime::{Runtime, TaskGraph};
 use das_sim::{ClusterTrace, Simulator};
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use wire::{
-    ACK_OK, DISPATCHER, ERR_UNKNOWN_TICKET, NODE, OP_DRAIN, OP_DRAIN_SUMMARY, OP_PULL_TRACE,
-    OP_SHUTDOWN, OP_SUBMIT, OP_SUBMIT_MANY, OP_WAIT, T_ACK, T_CTRL, T_LOAD, T_METRICS,
+    post, Ack, Command, Frame, Reply, Summary, DISPATCHER, NODE, T_ACK, T_CTRL, T_LOAD, T_METRICS,
 };
 
 /// Human-readable label of a scheduled fault, used by failover tooling
@@ -371,16 +371,12 @@ impl ClusterBuilder {
 /// factory.
 type Spawner<G> = Box<dyn FnMut(usize, &SessionBuilder) -> NodeSlot<G> + Send>;
 
-/// Dispatcher-side handle of one node: the graph side channel, the
-/// node's last error message (strings stay in-process; only codes
-/// cross the payload format), the dispatcher end of the private link,
-/// the agent's down flag and its join handle. Slots of dead or removed
-/// nodes stay in place so node indices are stable for the lifetime of
-/// the cluster.
+/// Dispatcher-side handle of one node: the dispatcher end of the
+/// private link, the agent's down flag and its join handle. Slots of
+/// dead or removed nodes stay in place so node indices are stable for
+/// the lifetime of the cluster.
 struct NodeSlot<G> {
-    tx: Sender<JobSpec<G>>,
-    errs: Arc<Mutex<String>>,
-    ep: Endpoint,
+    ep: Endpoint<Frame<G>>,
     down: Arc<AtomicBool>,
     agent: Option<JoinHandle<()>>,
 }
@@ -593,43 +589,43 @@ impl<G> Cluster<G> {
         //    moved jobs' speculative executions) for the next cluster
         //    drain.
         self.mark_started(node);
-        self.nodes[node].ep.send(NODE, T_CTRL, vec![OP_DRAIN]);
+        self.command(node, Command::Drain);
         match self.rpc_recv(node) {
-            Ok(p) if p.first() == Some(&ACK_OK) => {
-                let (recs, extras) = decode_drain_ok(&p);
+            Ok(Ack::Drained(stats, extras)) => {
                 let mut recs_out = Vec::new();
                 let mut merged = std::mem::take(&mut self.banked_extras);
-                self.fold_node_records(node, recs, extras, &discard, &mut recs_out, &mut merged);
+                self.fold_node_records(
+                    node,
+                    stats.jobs,
+                    extras,
+                    &discard,
+                    &mut recs_out,
+                    &mut merged,
+                );
                 self.banked_jobs.append(&mut recs_out);
                 self.banked_extras = merged;
             }
-            Ok(p) => {
-                let err = wire::decode_err(&p, node, self.node_error(node));
-                if matches!(err, ExecError::NodeFailed { .. }) {
-                    // Died while leaving: fall through to the failure
-                    // path (alive is restored so the handler runs).
-                    self.alive[node] = true;
-                    self.handle_node_down(node);
-                    return Ok(());
-                }
+            Err(ExecError::NodeFailed { .. }) => {
+                // Died while leaving: fall through to the failure path
+                // (alive is restored so the handler runs).
+                self.alive[node] = true;
+                self.handle_node_down(node);
+                return Ok(());
+            }
+            Err(e @ ExecError::Timeout { .. }) => {
+                self.alive[node] = true;
+                return Err(e);
+            }
+            Ok(_) | Err(_) => {
                 // A failed drain loses the node's batch, exactly like a
                 // failed drain on the bare backend; still shut it down.
                 self.exec_extras
                     .bump("jobs_orphaned", self.jobs_on(node) as f64);
                 self.forget_routes_on(node);
             }
-            Err(ExecError::NodeFailed { .. }) => {
-                self.alive[node] = true;
-                self.handle_node_down(node);
-                return Ok(());
-            }
-            Err(e) => {
-                self.alive[node] = true;
-                return Err(e);
-            }
         }
         // 3. Shut the agent down and join it.
-        self.nodes[node].ep.send(NODE, T_CTRL, vec![OP_SHUTDOWN]);
+        self.command(node, Command::Shutdown);
         if let Some(agent) = self.nodes[node].agent.take() {
             let _ = agent.join();
         }
@@ -669,26 +665,21 @@ impl<G> Cluster<G> {
             if !self.alive[i] {
                 continue;
             }
-            if let Some(p) = self.nodes[i].ep.try_recv_latest(NODE, T_LOAD) {
-                if let Some(&v) = p.first() {
-                    *load = v;
-                }
+            if let Some(Frame::Load(v)) = self.nodes[i].ep.try_recv_latest(NODE, T_LOAD) {
+                *load = v;
             }
         }
     }
 
     /// Fold every pending `T_METRICS` frame into the per-node snapshot
-    /// view (newest frame per node wins, exactly like the loads; a
-    /// misframed frame is skipped and only costs freshness).
+    /// view (newest frame per node wins, exactly like the loads).
     fn refresh_metrics(&mut self) {
         for (i, slot) in self.node_metrics.iter_mut().enumerate() {
             if !self.alive[i] {
                 continue;
             }
-            if let Some(p) = self.nodes[i].ep.try_recv_latest(NODE, T_METRICS) {
-                if let Some(snap) = wire::decode_snapshot(&p) {
-                    *slot = Some(snap);
-                }
+            if let Some(Frame::Snapshot(snap)) = self.nodes[i].ep.try_recv_latest(NODE, T_METRICS) {
+                *slot = Some(snap);
             }
         }
     }
@@ -766,37 +757,29 @@ impl<G> Cluster<G> {
         let targets: Vec<usize> = (0..self.nodes.len()).filter(|&i| self.alive[i]).collect();
         for &node in &targets {
             self.mark_started(node);
-            self.nodes[node]
-                .ep
-                .send(NODE, T_CTRL, vec![OP_DRAIN_SUMMARY]);
+            self.command(node, Command::DrainSummary);
         }
         let mut first_err: Option<ExecError> = None;
         for &node in &targets {
             match self.rpc_recv(node) {
-                Ok(p) if p.first() == Some(&ACK_OK) => {
-                    let (j, t, n0, n1, extras, snap) = wire::decode_summary_ok(&p);
-                    jobs += j;
-                    tasks += t;
-                    t0 = t0.min(n0);
-                    t1 = t1.max(n1);
-                    merged.bump(&format!("node{node}.jobs"), j as f64);
-                    attribute_extras(node, &extras, &mut merged);
-                    merged.absorb(extras);
-                    self.node_metrics[node] = Some(snap.clone());
-                    nodes.push(snap);
+                Ok(Ack::Summary(s)) => {
+                    jobs += s.jobs;
+                    tasks += s.tasks;
+                    t0 = t0.min(s.t0);
+                    t1 = t1.max(s.t1);
+                    merged.bump(&format!("node{node}.jobs"), s.jobs as f64);
+                    attribute_extras(node, &s.extras, &mut merged);
+                    merged.absorb(s.extras);
+                    self.node_metrics[node] = Some(s.snapshot.clone());
+                    nodes.push(s.snapshot);
                 }
-                Ok(p) => {
-                    let err = wire::decode_err(&p, node, self.node_error(node));
-                    if matches!(err, ExecError::NodeFailed { .. }) {
-                        self.handle_node_down(node);
-                    }
-                    first_err.get_or_insert(err);
-                }
-                Err(ExecError::NodeFailed { .. }) => {
-                    self.handle_node_down(node);
-                    first_err.get_or_insert(ExecError::NodeFailed { node });
+                Ok(_) => {
+                    first_err.get_or_insert(out_of_step(node));
                 }
                 Err(e) => {
+                    if matches!(e, ExecError::NodeFailed { .. }) {
+                        self.handle_node_down(node);
+                    }
                     first_err.get_or_insert(e);
                 }
             }
@@ -828,12 +811,10 @@ impl<G> Cluster<G> {
         let targets: Vec<usize> = (0..self.nodes.len()).filter(|&i| self.alive[i]).collect();
         let mut per_node = Vec::with_capacity(targets.len());
         for &node in &targets {
-            self.nodes[node].ep.send(NODE, T_CTRL, vec![OP_PULL_TRACE]);
-            let p = self.rpc_recv(node)?;
-            if p.first() != Some(&ACK_OK) {
-                return Err(wire::decode_err(&p, node, self.node_error(node)));
-            }
-            let spans = wire::decode_trace_ok(&p[1..]);
+            self.command(node, Command::PullTrace);
+            let Ack::Trace(spans) = self.rpc_recv(node)? else {
+                return Err(out_of_step(node));
+            };
             // The node's core count is not on the wire; the span
             // extent (executing cores and assembly widths) bounds the
             // rows any renderer needs.
@@ -886,28 +867,23 @@ impl<G> Cluster<G> {
         }
     }
 
-    /// The node's side-channel error string (set before every error
-    /// acknowledgement).
-    fn node_error(&self, node: usize) -> String {
-        let msg = self.nodes[node].errs.lock().clone();
-        if msg.is_empty() {
-            format!("node {node} failed")
-        } else {
-            format!("node {node}: {msg}")
-        }
+    /// Send one command frame to `node`.
+    fn command(&self, node: usize, cmd: Command<G>) {
+        post(&self.nodes[node].ep, NODE, Frame::Command(cmd));
     }
 
-    /// Receive one control acknowledgement from `node` under the
-    /// bounded-backoff deadline. A missing frame becomes
-    /// [`ExecError::NodeFailed`] if the agent's down flag is up (the
-    /// frame race lost), else a typed [`ExecError::Timeout`] — never a
-    /// hang.
-    fn rpc_recv(&self, node: usize) -> Result<Payload, ExecError> {
+    /// Receive one reply from `node` under the bounded-backoff
+    /// deadline, attributed to its link ([`Reply::on_link`]). A missing
+    /// frame becomes [`ExecError::NodeFailed`] if the agent's down flag
+    /// is up (the frame race lost), else a typed
+    /// [`ExecError::Timeout`] — never a hang.
+    fn rpc_recv(&self, node: usize) -> Result<Ack, ExecError> {
         match self.nodes[node]
             .ep
             .recv_backoff(NODE, T_ACK, self.rpc_base, self.rpc_attempts)
         {
-            Ok((p, _)) => Ok(p),
+            Ok((Frame::Reply(reply), _)) => reply.on_link(node),
+            Ok(_) => unreachable!("only replies travel on T_ACK"),
             Err(waited) => {
                 if self.nodes[node].down.load(Ordering::Acquire) {
                     Err(ExecError::NodeFailed { node })
@@ -998,21 +974,15 @@ impl<G> Cluster<G> {
         }
     }
 
-    /// Send one spec to one node and await its admission ack. A dead
-    /// side channel or a death frame surfaces as
-    /// [`ExecError::NodeFailed`]; the caller decides on recovery.
+    /// Send one spec to one node and await its admission ack. A death
+    /// frame surfaces as [`ExecError::NodeFailed`]; the caller decides
+    /// on recovery.
     fn place_one(&mut self, node: usize, spec: JobSpec<G>) -> Result<u64, ExecError> {
-        if self.nodes[node].tx.send(spec).is_err() {
-            // The agent's receiver is gone: the thread exited without
-            // the dispatcher noticing yet.
-            return Err(ExecError::NodeFailed { node });
+        self.command(node, Command::Submit(spec));
+        match self.rpc_recv(node)? {
+            Ack::Submitted(local) => Ok(local),
+            _ => Err(out_of_step(node)),
         }
-        self.nodes[node].ep.send(NODE, T_CTRL, vec![OP_SUBMIT]);
-        let ack = self.rpc_recv(node)?;
-        if ack.first() != Some(&ACK_OK) {
-            return Err(wire::decode_err(&ack, node, self.node_error(node)));
-        }
-        Ok(ack[1] as u64)
     }
 
     /// Place one spec on whichever live node routing picks, absorbing
@@ -1157,24 +1127,11 @@ fn attribute_extras(node: usize, extras: &ExecExtras, merged: &mut ExecExtras) {
     }
 }
 
-/// Split a combined drain reply `[ACK_OK, jobs, tasks, records…,
-/// extras]` into decoded records and extras, cross-checking the header
-/// counts against the decoded body (a wire-format regression trips
-/// here, not in a silently wrong percentile).
-fn decode_drain_ok(p: &[f64]) -> (Vec<JobStats>, ExecExtras) {
-    assert!(p.len() >= 3 + wire::EXTRAS_SLOTS, "drain reply misframed");
-    let jobs_count = p[1] as usize;
-    let tasks_total = p[2] as usize;
-    let body = &p[3..];
-    let (recs, ext) = body.split_at(body.len() - wire::EXTRAS_SLOTS);
-    let recs = wire::decode_jobs(recs);
-    assert_eq!(recs.len(), jobs_count, "drain job-count mismatch");
-    assert_eq!(
-        recs.iter().map(|j| j.tasks).sum::<usize>(),
-        tasks_total,
-        "drain task-count mismatch"
-    );
-    (recs, wire::decode_extras(ext))
+/// The error for a reply that answers a different command than the
+/// one awaited: only a reply arriving after its RPC already timed out
+/// can land there.
+fn out_of_step(node: usize) -> ExecError {
+    ExecError::Failed(format!("node {node}: reply out of step with its command"))
 }
 
 impl<G> Executor for Cluster<G> {
@@ -1218,7 +1175,7 @@ impl<G> Executor for Cluster<G> {
 
     /// Route a whole batch, then send **one wire message per node with
     /// a non-empty sub-batch** instead of one per job — the per-message
-    /// fixed costs (doorbell, ack round-trip) amortise over the batch.
+    /// fixed costs (wake-up, ack round-trip) amortise over the batch.
     ///
     /// Routing is bit-identical to an equivalent loop of `submit`: each
     /// job is picked in batch order against a load view updated
@@ -1271,59 +1228,38 @@ impl<G> Executor for Cluster<G> {
             None => (0..total).map(|_| None).collect(),
         };
         // Phase 2: per-node sub-batches (batch order within each node),
-        // one side-channel transfer per job, ONE control message per
-        // node.
+        // ONE command frame per node.
         let n = self.nodes.len();
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (pos, &node) in assignment.iter().enumerate() {
+        let mut batches: Vec<Vec<JobSpec<G>>> = (0..n).map(|_| Vec::new()).collect();
+        for (pos, (spec, &node)) in specs.into_iter().zip(&assignment).enumerate() {
             groups[node].push(pos);
+            batches[node].push(spec);
         }
-        let mut slots: Vec<Option<JobSpec<G>>> = specs.into_iter().map(Some).collect();
-        let mut doorbelled = vec![false; n];
-        let mut died: Vec<usize> = Vec::new();
-        let mut first_err: Option<ExecError> = None;
-        for (node, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
+        for (node, batch) in batches.into_iter().enumerate() {
+            if !batch.is_empty() {
+                self.command(node, Command::SubmitMany(batch));
             }
-            let fed = group.iter().all(|&pos| {
-                let spec = slots[pos].take().expect("each slot moves once");
-                self.nodes[node].tx.send(spec).is_ok()
-            });
-            if !fed {
-                // Dead agent discovered at the side channel: recover
-                // the whole sub-batch below.
-                died.push(node);
-                continue;
-            }
-            self.nodes[node]
-                .ep
-                .send(NODE, T_CTRL, vec![OP_SUBMIT_MANY, group.len() as f64]);
-            doorbelled[node] = true;
         }
-        // Phase 3: collect one batch ack per doorbelled node (node
+        // Phase 3: collect one batch ack per commanded node (node
         // order; the agents work concurrently regardless). Deaths are
         // only recorded here — every outstanding ack must be consumed
         // before any recovery traffic, or a requeue's ack would
         // interleave with a pending batch ack on the same link.
         let mut locals: Vec<VecDeque<u64>> = vec![VecDeque::new(); n];
+        let mut died: Vec<usize> = Vec::new();
+        let mut first_err: Option<ExecError> = None;
         for node in 0..n {
-            if !doorbelled[node] {
+            if groups[node].is_empty() {
                 continue;
             }
             match self.rpc_recv(node) {
-                Ok(ack) if ack.first() == Some(&ACK_OK) => {
-                    let k = ack[1] as usize;
-                    debug_assert_eq!(k, groups[node].len());
-                    locals[node] = ack[2..2 + k].iter().map(|&v| v as u64).collect();
+                Ok(Ack::SubmittedMany(ids)) => {
+                    debug_assert_eq!(ids.len(), groups[node].len());
+                    locals[node] = ids.into();
                 }
-                Ok(ack) => {
-                    let err = wire::decode_err(&ack, node, self.node_error(node));
-                    if matches!(err, ExecError::NodeFailed { .. }) {
-                        died.push(node);
-                    } else {
-                        first_err.get_or_insert(err);
-                    }
+                Ok(_) => {
+                    first_err.get_or_insert(out_of_step(node));
                 }
                 Err(ExecError::NodeFailed { .. }) => died.push(node),
                 Err(e) => {
@@ -1432,56 +1368,39 @@ impl<G> Executor for Cluster<G> {
                 return Err(ExecError::UnknownTicket(id));
             };
             self.mark_started(node);
-            self.nodes[node]
-                .ep
-                .send(NODE, T_CTRL, vec![OP_WAIT, local as f64]);
-            match self.rpc_recv(node) {
-                Ok(ack) if ack.first() == Some(&ACK_OK) => {
+            self.command(node, Command::Wait(local));
+            let err = match self.rpc_recv(node) {
+                Ok(Ack::Waited(mut stats)) => {
                     self.route.remove(&id.0);
                     self.retained.remove(&id.0);
-                    let mut stats = wire::decode_jobs(&ack[1..]).pop().ok_or_else(|| {
-                        ExecError::Failed(format!("node {node}: empty wait reply"))
-                    })?;
                     stats.id = id;
                     return Ok(stats);
                 }
-                Ok(ack) => {
-                    let err = wire::decode_err(&ack, node, self.node_error(node));
-                    match err {
-                        ExecError::NodeFailed { node: dead } => {
-                            // Repair and retry: the waited job either
-                            // re-placed (loop waits on its new node) or
-                            // is now in the lost set (loop returns the
-                            // typed failure).
-                            self.handle_node_down(dead);
-                        }
-                        // Remap the node-local id in the error onto the
-                        // cluster id.
-                        ExecError::UnknownTicket(_) => {
-                            self.route.remove(&id.0);
-                            self.retained.remove(&id.0);
-                            return Err(ExecError::UnknownTicket(id));
-                        }
-                        other => {
-                            self.route.remove(&id.0);
-                            self.retained.remove(&id.0);
-                            return Err(other);
-                        }
-                    }
-                }
                 Err(ExecError::NodeFailed { .. }) => {
+                    // Repair and retry: the waited job either re-placed
+                    // (loop waits on its new node) or is now in the
+                    // lost set (loop returns the typed failure).
                     self.handle_node_down(node);
+                    continue;
                 }
-                Err(e) => return Err(e),
-            }
+                Err(e @ ExecError::Timeout { .. }) => return Err(e),
+                // Remap the node-local id in the error onto the cluster
+                // id.
+                Err(ExecError::UnknownTicket(_)) => ExecError::UnknownTicket(id),
+                Err(e) => e,
+                Ok(_) => out_of_step(node),
+            };
+            self.route.remove(&id.0);
+            self.retained.remove(&id.0);
+            return Err(err);
         }
     }
 
     /// Drain every live node and merge the per-node results. Each node
-    /// answers with one combined reply whose header cross-checks the
-    /// decoded records. A node death mid-drain requeues its stranded
-    /// jobs onto survivors and triggers another round, so the stream
-    /// still completes (deaths are handled only *after* a round's acks
+    /// answers with one reply carrying its drained stream and extras.
+    /// A node death mid-drain requeues its stranded jobs onto survivors
+    /// and triggers another round, so the stream still completes
+    /// (deaths are handled only *after* a round's acks
     /// are all consumed — recovery traffic must not interleave with
     /// pending drain acks). A missing reply within the RPC deadline is
     /// a typed [`ExecError::Timeout`], never a hang — the fix for the
@@ -1493,7 +1412,7 @@ impl<G> Executor for Cluster<G> {
         let mut jobs = std::mem::take(&mut self.banked_jobs);
         let mut merged = std::mem::take(&mut self.banked_extras);
         let no_discard = HashSet::new();
-        let mut failures: Vec<usize> = Vec::new();
+        let mut failures: Vec<(usize, ExecError)> = Vec::new();
         let mut hard_err: Option<ExecError> = None;
         loop {
             let targets: Vec<usize> = (0..self.nodes.len()).filter(|&i| self.alive[i]).collect();
@@ -1502,34 +1421,27 @@ impl<G> Executor for Cluster<G> {
             }
             for &node in &targets {
                 self.mark_started(node);
-                self.nodes[node].ep.send(NODE, T_CTRL, vec![OP_DRAIN]);
+                self.command(node, Command::Drain);
             }
             let mut died: Vec<usize> = Vec::new();
             for &node in &targets {
                 match self.rpc_recv(node) {
-                    Ok(p) if p.first() == Some(&ACK_OK) => {
-                        let (recs, extras) = decode_drain_ok(&p);
+                    Ok(Ack::Drained(stats, extras)) => {
                         self.fold_node_records(
                             node,
-                            recs,
+                            stats.jobs,
                             extras,
                             &no_discard,
                             &mut jobs,
                             &mut merged,
                         );
                     }
-                    Ok(p) => {
-                        let err = wire::decode_err(&p, node, self.node_error(node));
-                        if matches!(err, ExecError::NodeFailed { .. }) {
-                            died.push(node);
-                        } else {
-                            failures.push(node);
-                        }
-                    }
                     Err(ExecError::NodeFailed { .. }) => died.push(node),
-                    Err(e) => {
+                    Err(e @ ExecError::Timeout { .. }) => {
                         hard_err.get_or_insert(e);
                     }
+                    Err(e) => failures.push((node, e)),
+                    Ok(_) => failures.push((node, out_of_step(node))),
                 }
             }
             self.refresh_loads();
@@ -1550,9 +1462,14 @@ impl<G> Executor for Cluster<G> {
             return Err(e);
         }
         if !failures.is_empty() {
+            // Node errors arrive attributed (`node {i}: …`, see
+            // `Reply::on_link`); join their reasons.
             let why = failures
                 .iter()
-                .map(|&i| self.node_error(i))
+                .map(|(node, e)| match e {
+                    ExecError::Rejected(why) | ExecError::Failed(why) => why.clone(),
+                    other => format!("node {node}: {other}"),
+                })
                 .collect::<Vec<_>>()
                 .join("; ");
             self.route.clear();
@@ -1597,7 +1514,7 @@ impl<G> Drop for Cluster<G> {
     fn drop(&mut self) {
         for node in 0..self.nodes.len() {
             if self.alive[node] {
-                self.nodes[node].ep.send(NODE, T_CTRL, vec![OP_SHUTDOWN]);
+                self.command(node, Command::Shutdown);
             }
         }
         for slot in &mut self.nodes {
@@ -1608,13 +1525,13 @@ impl<G> Drop for Cluster<G> {
     }
 }
 
-/// Spawn one node: a private 2-rank link, the spec side channel, and
-/// the agent thread. The thread body runs under `catch_unwind`: on a
-/// panic (a scheduled kill, or an agent bug) the wrapper records the
-/// panic message, publishes the down flag — `Release`, paired with the
-/// dispatcher's `Acquire` in `rpc_recv` — and sends `ERR_NODE_FAILED`
-/// as its last frame, so a dispatcher blocked on this command's ack
-/// observes the death deterministically instead of timing out.
+/// Spawn one node: a private 2-rank link and the agent thread. The
+/// thread body runs under `catch_unwind`: on a panic (a scheduled kill,
+/// or an agent bug) the wrapper publishes the down flag — `Release`,
+/// paired with the dispatcher's `Acquire` in `rpc_recv` — and sends the
+/// death frame as its last frame, so a dispatcher blocked on this
+/// command's ack observes the death deterministically instead of timing
+/// out.
 fn spawn_node<E>(
     i: usize,
     exec: E,
@@ -1625,34 +1542,24 @@ where
     E: Executor + Send + 'static,
     E::Graph: Send + 'static,
 {
-    let comm = Communicator::new(2);
+    let comm = Communicator::typed(2);
     let agent_ep = comm.endpoint(NODE);
     let last_frame_ep = agent_ep.clone();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let errs = Arc::new(Mutex::new(String::new()));
     let down = Arc::new(AtomicBool::new(false));
-    let errs_agent = Arc::clone(&errs);
     let down_agent = Arc::clone(&down);
     let agent = std::thread::Builder::new()
         .name(format!("das-cluster-node-{i}"))
         .spawn(move || {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                node_agent(i, exec, agent_ep, rx, &errs_agent, plane, metrics);
+                node_agent(i, exec, agent_ep, plane, metrics);
             }));
-            if let Err(payload) = run {
-                *errs_agent.lock() = panic_text(payload.as_ref());
+            if run.is_err() {
                 down_agent.store(true, Ordering::Release);
-                last_frame_ep.send(
-                    DISPATCHER,
-                    T_ACK,
-                    vec![wire::ACK_ERR, wire::ERR_NODE_FAILED, i as f64],
-                );
+                post(&last_frame_ep, DISPATCHER, Frame::Reply(Reply::NodeDown));
             }
         })
         .expect("spawn cluster node agent");
     NodeSlot {
-        tx,
-        errs,
         ep: comm.endpoint(DISPATCHER),
         down,
         agent: Some(agent),
@@ -1666,42 +1573,31 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "node agent panicked".into()
+        "non-string panic payload".into()
     }
 }
 
-/// Run one executor-contract operation on the node agent, translating
-/// errors (and executor panics — a runtime node's `wait` re-raises task
-/// body panics) into acknowledgement payloads, with the human-readable
-/// message left in the in-process side channel.
-fn run_op<T>(errs: &Mutex<String>, f: impl FnOnce() -> Result<T, ExecError>) -> Result<T, Payload> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(Ok(v)) => {
-            // A successful op clears the slot: drain-failure diagnostics
-            // must not drag in long-resolved errors of healthy nodes.
-            errs.lock().clear();
-            Ok(v)
-        }
-        Ok(Err(e)) => {
-            *errs.lock() = e.to_string();
-            Err(wire::encode_err(&e))
-        }
-        Err(_) => {
-            *errs.lock() = "node executor panicked".into();
-            Err(vec![wire::ACK_ERR, wire::ERR_FAILED])
-        }
-    }
+/// Run one executor-contract operation on the node agent, turning an
+/// executor panic (a runtime node's `wait` re-raises task-body panics)
+/// into a typed [`ExecError::Failed`] that carries the panic message.
+fn run_op<T>(f: impl FnOnce() -> Result<T, ExecError>) -> Result<T, ExecError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(ExecError::Failed(format!(
+            "node executor panicked: {}",
+            panic_text(payload.as_ref())
+        )))
+    })
 }
 
 /// The agent's snapshot-cadence state while its session has metrics
 /// enabled: the sequence counter, admissions since the last snapshot,
-/// the last frame actually sent (what a `DelayLoadReports` fault
+/// the last snapshot actually sent (what a `DelayLoadReports` fault
 /// re-sends), and the fault-attribution counters since the last drain.
 struct SnapState {
     cfg: MetricsConfig,
     seq: u64,
     since: u64,
-    last_frame: Payload,
+    last_sent: Option<NodeSnapshot>,
     sent: f64,
     dropped: f64,
     delayed: f64,
@@ -1713,7 +1609,7 @@ impl SnapState {
             cfg,
             seq: 0,
             since: 0,
-            last_frame: Payload::new(),
+            last_sent: None,
             sent: 0.0,
             dropped: 0.0,
             delayed: 0.0,
@@ -1744,308 +1640,235 @@ impl SnapState {
     }
 }
 
-/// Push this node's state — an optional metrics snapshot, then the
-/// load report — as the fault plane allows: a `Slow` fault inflates
-/// the reported load (steering the policies away, the deterministic
-/// stand-in for a degraded node), `DropLoadReports` withholds the
-/// pair, `DelayLoadReports` re-sends the previous (stale) pair. The
-/// snapshot and the load report share **one** drop/delay decision
-/// (the same tokens are consumed whether or not metrics are on, so
-/// fault schedules reproduce identically either way), and the
-/// snapshot goes first — the dispatcher's keep-latest reads then
-/// never see a load value fresher than the snapshot beside it.
-fn report_state(
-    ep: &Endpoint,
-    plane: &mut FaultPlane,
-    last: &mut f64,
-    outstanding: f64,
-    snapshot: Option<(&mut SnapState, NodeSnapshot)>,
-) {
-    let value = outstanding * plane.slow_factor();
-    let dropped = plane.drop_load_report();
-    let delayed = !dropped && plane.delay_load_report();
-    if let Some((state, snap)) = snapshot {
-        if dropped {
-            state.dropped += 1.0;
-        } else if delayed {
-            state.delayed += 1.0;
-            if !state.last_frame.is_empty() {
-                ep.send(DISPATCHER, T_METRICS, state.last_frame.clone());
-            }
-        } else {
-            let frame = wire::encode_snapshot(&snap);
-            state.sent += 1.0;
-            state.last_frame = frame.clone();
-            ep.send(DISPATCHER, T_METRICS, frame);
-        }
-    }
-    if dropped {
-        return;
-    }
-    if delayed {
-        ep.send(DISPATCHER, T_LOAD, vec![*last]);
-        return;
-    }
-    *last = value;
-    ep.send(DISPATCHER, T_LOAD, vec![value]);
-}
-
-/// Send a command acknowledgement, unless a `DropAcks` fault withholds
-/// it (the dispatcher then surfaces a typed timeout).
-fn send_ack(ep: &Endpoint, plane: &mut FaultPlane, reply: Payload) {
-    if plane.drop_ack() {
-        return;
-    }
-    ep.send(DISPATCHER, T_ACK, reply);
-}
-
-/// Build the node's metrics snapshot when one is due: `force` (drain
-/// epochs) or the cadence reaching `cfg.snapshot_every` admitted jobs
-/// — both logical triggers, never wall-clock. Returns the pair
-/// [`report_state`] consumes; `None` while metrics are off or the
-/// cadence has not elapsed. The executor's probe is cumulative, so a
-/// snapshot is a read, not a drain; a backend without metrics state
-/// contributes the all-zero probe.
-fn snapshot_if_due<'a, E: Executor>(
+/// One node's agent: owns the node's executor and its end of the link,
+/// and holds the node-local tickets (which live, and die, here). The
+/// outstanding-job count it reports is the number of tickets held.
+struct Agent<E: Executor> {
     node: usize,
-    exec: &mut E,
-    state: &'a mut Option<SnapState>,
-    admitted: u64,
-    force: bool,
-) -> Option<(&'a mut SnapState, NodeSnapshot)> {
-    let s = state.as_mut()?;
-    let due = s.admitted(admitted);
-    if !(due || force) {
-        return None;
-    }
-    let snap = NodeSnapshot {
-        node: node as u64,
-        seq: s.seq,
-        probe: exec.metrics_probe().unwrap_or_default(),
-    };
-    s.seq += 1;
-    s.since = 0;
-    Some((s, snap))
+    exec: E,
+    ep: Endpoint<Frame<E::Graph>>,
+    plane: FaultPlane,
+    tickets: HashMap<u64, Ticket>,
+    last_load: f64,
+    snap: Option<SnapState>,
 }
 
-/// The node agent loop: owns this node's executor, serves dispatcher
-/// commands, pushes a load report (and, when the session enabled
-/// metrics, a cadence-due snapshot) before every acknowledgement, and
-/// answers `drain` with one combined records+extras reply. Node-local
-/// tickets live (and die) here. The agent consults its [`FaultPlane`]
-/// at every admission and every outgoing frame — all triggers are
-/// logical (counts, not clocks), so injected faults reproduce
-/// bit-exactly.
+/// The node agent loop: serve dispatcher commands until `Shutdown`,
+/// one reply each. The agent consults its [`FaultPlane`] at every
+/// admission and every outgoing frame — all triggers are logical
+/// (counts, not clocks), so injected faults reproduce bit-exactly.
 fn node_agent<E: Executor>(
     node: usize,
-    mut exec: E,
-    ep: Endpoint,
-    inbox: Receiver<JobSpec<E::Graph>>,
-    errs: &Mutex<String>,
-    mut plane: FaultPlane,
+    exec: E,
+    ep: Endpoint<Frame<E::Graph>>,
+    plane: FaultPlane,
     metrics: Option<MetricsConfig>,
 ) {
-    let mut tickets: HashMap<u64, Ticket> = HashMap::new();
-    let mut outstanding: f64 = 0.0;
-    let mut last_load: f64 = 0.0;
-    let mut snap_state: Option<SnapState> = metrics.map(SnapState::new);
+    let mut agent = Agent {
+        node,
+        exec,
+        ep,
+        plane,
+        tickets: HashMap::new(),
+        last_load: 0.0,
+        snap: metrics.map(SnapState::new),
+    };
     loop {
         // block-ok: the agent's idle state is "parked on the control
-        // link"; `Cluster::drop` always sends OP_SHUTDOWN as its last
-        // frame, so this recv is bounded by dispatcher lifetime.
-        let cmd = ep.recv(DISPATCHER, T_CTRL);
-        let op = cmd.first().copied().unwrap_or(OP_SHUTDOWN);
-        if op == OP_SHUTDOWN {
-            return;
-        } else if op == OP_SUBMIT {
-            // The graph arrived on the side channel before the doorbell.
-            // block-ok: the dispatcher queues the spec *before* sending
-            // the OP_SUBMIT doorbell, so this recv can only block until
-            // that already-sent spec lands; a dropped sender returns
-            // Err and the agent exits.
-            let Ok(spec) = inbox.recv() else { return };
-            if plane.on_admit(1) {
-                // fault-ok: the scheduled Kill fault takes this agent
-                // down by design — the spawn wrapper catches the panic,
-                // publishes the down flag and sends the ERR_NODE_FAILED
-                // frame the blocked dispatcher is waiting on.
-                panic!(
-                    "fault plane: killed after {} admitted jobs",
-                    plane.admitted()
-                );
-            }
-            let mut admitted_now = 0u64;
-            let reply = match run_op(errs, || exec.submit(spec)) {
-                Ok(ticket) => {
-                    let local = ticket.job().0;
-                    tickets.insert(local, ticket);
-                    outstanding += 1.0;
-                    admitted_now = 1;
-                    vec![ACK_OK, local as f64]
-                }
-                Err(p) => p,
-            };
-            let snap = snapshot_if_due(node, &mut exec, &mut snap_state, admitted_now, false);
-            report_state(&ep, &mut plane, &mut last_load, outstanding, snap);
-            send_ack(&ep, &mut plane, reply);
-        } else if op == OP_SUBMIT_MANY {
-            // One doorbell for a k-job sub-batch; the specs arrived on
-            // the side channel in batch order.
-            let k = cmd.get(1).copied().unwrap_or(0.0) as usize;
-            let mut specs = Vec::with_capacity(k);
-            for _ in 0..k {
-                // block-ok: all k specs are queued before the one
-                // OP_SUBMIT_MANY doorbell; see the OP_SUBMIT recv.
-                let Ok(spec) = inbox.recv() else { return };
-                specs.push(spec);
-            }
-            if plane.on_admit(k as u64) {
-                // fault-ok: scheduled Kill fault, caught by the spawn
-                // wrapper which reports ERR_NODE_FAILED — see OP_SUBMIT.
-                panic!(
-                    "fault plane: killed after {} admitted jobs",
-                    plane.admitted()
-                );
+        // link"; `Cluster::drop` always sends `Command::Shutdown` as its
+        // last frame, so this recv is bounded by dispatcher lifetime.
+        let Frame::Command(cmd) = agent.ep.recv(DISPATCHER, T_CTRL) else {
+            unreachable!("only commands travel on T_CTRL");
+        };
+        let reply = match cmd {
+            Command::Shutdown => return,
+            Command::Submit(spec) => {
+                agent.kill_if_due(1);
+                let held = agent.tickets.len();
+                let reply = run_op(|| agent.exec.submit(spec));
+                let reply = reply.map(|t| Ack::Submitted(agent.hold(t)));
+                agent.after_admission(held);
+                reply
             }
             // The backend batch is atomic on validation: on error the
             // node admits nothing and the count is untouched.
-            let mut admitted_now = 0u64;
-            let reply = match run_op(errs, || exec.submit_many(specs)) {
-                Ok(batch) => {
-                    let mut p = Vec::with_capacity(2 + batch.len());
-                    p.push(ACK_OK);
-                    p.push(batch.len() as f64);
-                    admitted_now = batch.len() as u64;
-                    for ticket in batch {
-                        let local = ticket.job().0;
-                        p.push(local as f64);
-                        tickets.insert(local, ticket);
-                        outstanding += 1.0;
-                    }
-                    p
-                }
-                Err(p) => p,
-            };
-            let snap = snapshot_if_due(node, &mut exec, &mut snap_state, admitted_now, false);
-            report_state(&ep, &mut plane, &mut last_load, outstanding, snap);
-            send_ack(&ep, &mut plane, reply);
-        } else if op == OP_WAIT {
-            // A missing id slot must take the error path, never alias a
-            // real id (note `-1.0 as u64` would saturate to 0, a valid
-            // node-local job id).
-            let reply = match cmd
-                .get(1)
-                .map(|&v| v as u64)
-                .and_then(|local| tickets.remove(&local))
-            {
-                None => vec![
-                    wire::ACK_ERR,
-                    ERR_UNKNOWN_TICKET,
-                    cmd.get(1).copied().unwrap_or(0.0),
-                ],
-                Some(ticket) => {
-                    // Only the waited job leaves the count, even when the
-                    // wait fails. On a batch backend a `Failed` wait lost
-                    // the node's whole pending batch, so until the next
-                    // drain resets the count this node reports phantom
-                    // backlog — deliberate: the remaining tickets must
-                    // stay redeemable (on a pool backend the siblings of
-                    // a panicked job are alive and genuinely outstanding,
-                    // so resyncing here would corrupt *their* waits), and
-                    // steering new jobs away from a node that just failed
-                    // a batch is the right routing bias anyway.
-                    outstanding -= 1.0;
-                    match run_op(errs, || exec.wait(ticket)) {
-                        Ok(stats) => {
-                            let mut p = vec![ACK_OK];
-                            wire::push_job(&mut p, &stats);
-                            p
-                        }
-                        Err(p) => p,
-                    }
-                }
-            };
-            report_state(&ep, &mut plane, &mut last_load, outstanding, None);
-            send_ack(&ep, &mut plane, reply);
-        } else if op == OP_DRAIN {
-            let drained = run_op(errs, || exec.drain());
-            tickets.clear();
-            outstanding = 0.0;
-            // A drain epoch always snapshots (post-drain, so the probe
-            // includes everything the drain completed).
-            let snap = snapshot_if_due(node, &mut exec, &mut snap_state, 0, true);
-            report_state(&ep, &mut plane, &mut last_load, outstanding, snap);
-            // Extras leave the executor either way (a failed drain
-            // discards them, exactly as the collective design did).
-            let mut extras = exec.take_extras();
-            if let Some(s) = &mut snap_state {
-                s.stamp_attribution(&mut extras);
+            Command::SubmitMany(specs) => {
+                agent.kill_if_due(specs.len() as u64);
+                let held = agent.tickets.len();
+                let reply = run_op(|| agent.exec.submit_many(specs));
+                let reply = reply.map(|batch| {
+                    Ack::SubmittedMany(batch.into_iter().map(|t| agent.hold(t)).collect())
+                });
+                agent.after_admission(held);
+                reply
             }
-            let reply = match drained {
-                Ok(stats) => {
-                    let mut p = Vec::with_capacity(
-                        3 + stats.jobs.len() * wire::JOB_SLOTS + wire::EXTRAS_SLOTS,
-                    );
-                    p.push(ACK_OK);
-                    p.push(stats.jobs.len() as f64);
-                    p.push(stats.tasks as f64);
-                    p.extend(wire::encode_jobs(&stats.jobs));
-                    p.extend(wire::encode_extras(&extras));
-                    p
-                }
-                Err(p) => p,
-            };
-            send_ack(&ep, &mut plane, reply);
-        } else if op == OP_DRAIN_SUMMARY {
-            let drained = run_op(errs, || exec.drain());
-            tickets.clear();
-            outstanding = 0.0;
-            let snap = snapshot_if_due(node, &mut exec, &mut snap_state, 0, true);
-            // The reply carries the post-drain snapshot outright (on
-            // the ack channel, so only `DropAcks` gates it); the
-            // fault-gated T_METRICS copy below shares it.
-            let reply_snap =
-                snap.as_ref()
-                    .map(|(_, s)| s.clone())
-                    .unwrap_or_else(|| NodeSnapshot {
-                        node: node as u64,
-                        seq: 0,
-                        probe: exec.metrics_probe().unwrap_or_default(),
-                    });
-            report_state(&ep, &mut plane, &mut last_load, outstanding, snap);
-            let mut extras = exec.take_extras();
-            if let Some(s) = &mut snap_state {
-                s.stamp_attribution(&mut extras);
+            // Only the waited job leaves the count, even when the wait
+            // fails. On a batch backend a `Failed` wait lost the node's
+            // whole pending batch, so until the next drain this node
+            // reports phantom backlog — deliberate: the remaining
+            // tickets must stay redeemable (on a pool backend the
+            // siblings of a panicked job are alive and genuinely
+            // outstanding, so resyncing here would corrupt *their*
+            // waits), and steering new jobs away from a node that just
+            // failed a batch is the right routing bias anyway.
+            Command::Wait(local) => {
+                let reply = match agent.tickets.remove(&local) {
+                    Some(ticket) => run_op(|| agent.exec.wait(ticket)).map(Ack::Waited),
+                    None => Err(ExecError::UnknownTicket(JobId(local))),
+                };
+                agent.report(None);
+                reply
             }
-            let reply = match drained {
-                Ok(stats) => {
-                    // Ship the stream endpoints, not a pre-folded span:
-                    // the dispatcher computes the global span across
-                    // nodes exactly as a merged-record drain would.
-                    let t0 = stats
-                        .jobs
-                        .iter()
-                        .map(|j| j.arrival)
-                        .fold(f64::INFINITY, f64::min);
-                    let t1 = stats.jobs.iter().map(|j| j.completed).fold(0.0, f64::max);
-                    wire::encode_summary_ok(
-                        stats.jobs.len() as u64,
-                        stats.tasks as u64,
-                        t0,
-                        t1,
-                        &extras,
-                        &reply_snap,
-                    )
-                }
-                Err(p) => p,
-            };
-            send_ack(&ep, &mut plane, reply);
-        } else if op == OP_PULL_TRACE {
+            Command::Drain => {
+                let drained = run_op(|| agent.exec.drain());
+                let (extras, _) = agent.close_epoch();
+                drained.map(|stats| Ack::Drained(stats, extras))
+            }
+            Command::DrainSummary => {
+                let drained = run_op(|| agent.exec.drain());
+                let (extras, snapshot) = agent.close_epoch();
+                // The reply carries the post-drain snapshot outright (on
+                // the ack plane, so only `DropAcks` gates it); the
+                // fault-gated T_METRICS copy shares it.
+                let snapshot = snapshot.unwrap_or_else(|| NodeSnapshot {
+                    node: node as u64,
+                    seq: 0,
+                    probe: agent.exec.metrics_probe().unwrap_or_default(),
+                });
+                drained.map(|stats| {
+                    Ack::Summary(Box::new(Summary {
+                        jobs: stats.jobs.len() as u64,
+                        tasks: stats.tasks as u64,
+                        t0: stats
+                            .jobs
+                            .iter()
+                            .map(|j| j.arrival)
+                            .fold(f64::INFINITY, f64::min),
+                        t1: stats.jobs.iter().map(|j| j.completed).fold(0.0, f64::max),
+                        extras,
+                        snapshot,
+                    }))
+                })
+            }
             // A pull is not an admission edge and changes no
             // outstanding count: no load report rides with it.
-            let spans = exec.take_trace_spans();
-            send_ack(&ep, &mut plane, wire::encode_trace_ok(&spans));
+            Command::PullTrace => Ok(Ack::Trace(agent.exec.take_trace_spans())),
+        };
+        // A `DropAcks` fault withholds the reply (the dispatcher then
+        // surfaces a typed timeout).
+        if !agent.plane.drop_ack() {
+            post(&agent.ep, DISPATCHER, Frame::Reply(Reply::Ack(reply)));
         }
+    }
+}
+
+impl<E: Executor> Agent<E> {
+    /// Die by the fault plane's scheduled `Kill` when admitting `jobs`
+    /// more jobs reaches its trigger.
+    fn kill_if_due(&mut self, jobs: u64) {
+        if self.plane.on_admit(jobs) {
+            // fault-ok: the scheduled Kill fault takes this agent down
+            // by design — the spawn wrapper catches the panic,
+            // publishes the down flag and sends the death frame the
+            // blocked dispatcher is waiting on.
+            panic!(
+                "fault plane: killed after {} admitted jobs",
+                self.plane.admitted()
+            );
+        }
+    }
+
+    /// Keep an admitted job's ticket; returns its node-local id.
+    fn hold(&mut self, ticket: Ticket) -> u64 {
+        let local = ticket.job().0;
+        self.tickets.insert(local, ticket);
+        local
+    }
+
+    /// After an admission that found `held` tickets: count the newly
+    /// admitted jobs toward the snapshot cadence, then report.
+    fn after_admission(&mut self, held: usize) {
+        let admitted = (self.tickets.len() - held) as u64;
+        let snap = self.snapshot_if_due(admitted, false);
+        self.report(snap);
+    }
+
+    /// End a drain epoch: the node holds no tickets any more, always
+    /// snapshots (post-drain, so the probe includes everything the
+    /// drain completed) and reports, and its extras leave the executor
+    /// — with the snapshot attribution counters since the last drain —
+    /// whether the drain succeeded or not. Returns the extras and the
+    /// snapshot (`None` while metrics are off).
+    fn close_epoch(&mut self) -> (ExecExtras, Option<NodeSnapshot>) {
+        self.tickets.clear();
+        let snap = self.snapshot_if_due(0, true);
+        self.report(snap.clone());
+        let mut extras = self.exec.take_extras();
+        if let Some(s) = &mut self.snap {
+            s.stamp_attribution(&mut extras);
+        }
+        (extras, snap)
+    }
+
+    /// Build the node's metrics snapshot when one is due: `force`
+    /// (drain epochs) or the cadence reaching `cfg.snapshot_every`
+    /// admitted jobs — both logical triggers, never wall-clock. `None`
+    /// while metrics are off or the cadence has not elapsed. The
+    /// executor's probe is cumulative, so a snapshot is a read, not a
+    /// drain; a backend without metrics state contributes the all-zero
+    /// probe.
+    fn snapshot_if_due(&mut self, admitted: u64, force: bool) -> Option<NodeSnapshot> {
+        let s = self.snap.as_mut()?;
+        let due = s.admitted(admitted);
+        if !(due || force) {
+            return None;
+        }
+        let snap = NodeSnapshot {
+            node: self.node as u64,
+            seq: s.seq,
+            probe: self.exec.metrics_probe().unwrap_or_default(),
+        };
+        s.seq += 1;
+        s.since = 0;
+        Some(snap)
+    }
+
+    /// Push this node's state — `snapshot` if one is due, then the
+    /// load report — as the fault plane allows: a `Slow` fault
+    /// inflates the reported load (steering the policies away, the
+    /// deterministic stand-in for a degraded node), `DropLoadReports`
+    /// withholds the pair, `DelayLoadReports` re-sends the previous
+    /// (stale) pair. The snapshot and the load report share **one**
+    /// drop/delay decision (the same tokens are consumed whether or
+    /// not metrics are on, so fault schedules reproduce identically
+    /// either way), and the snapshot goes first — the dispatcher's
+    /// keep-latest reads then never see a load value fresher than the
+    /// snapshot beside it.
+    fn report(&mut self, snapshot: Option<NodeSnapshot>) {
+        let value = self.tickets.len() as f64 * self.plane.slow_factor();
+        let dropped = self.plane.drop_load_report();
+        let delayed = !dropped && self.plane.delay_load_report();
+        if let (Some(state), Some(snap)) = (&mut self.snap, snapshot) {
+            if dropped {
+                state.dropped += 1.0;
+            } else if delayed {
+                state.delayed += 1.0;
+                if let Some(prev) = &state.last_sent {
+                    post(&self.ep, DISPATCHER, Frame::Snapshot(prev.clone()));
+                }
+            } else {
+                state.sent += 1.0;
+                state.last_sent = Some(snap.clone());
+                post(&self.ep, DISPATCHER, Frame::Snapshot(snap));
+            }
+        }
+        if dropped {
+            return;
+        }
+        if !delayed {
+            self.last_load = value;
+        }
+        post(&self.ep, DISPATCHER, Frame::Load(self.last_load));
     }
 }
 
@@ -2143,10 +1966,14 @@ mod tests {
     fn rejections_surface_with_the_node_detail_and_consume_no_id() {
         let mut cluster = ClusterBuilder::new(base_session(4), 2).build_sim();
         let err = Executor::submit(&mut cluster, JobSpec::new(Dag::new("empty"))).unwrap_err();
-        match err {
-            ExecError::Rejected(why) => assert!(why.contains("node"), "{why}"),
-            other => panic!("expected Rejected, got {other:?}"),
-        }
+        // The node's typed error crosses the link; only the node is
+        // added to its reason.
+        assert_eq!(err, ExecError::Rejected("node 0: DAG has no tasks".into()));
+        assert_eq!(
+            err.to_string(),
+            "job rejected: node 0: DAG has no tasks",
+            "the variant prefix appears once"
+        );
         // The failed submission consumed no cluster id.
         let ok = Executor::submit(&mut cluster, chain_job(0)).unwrap();
         assert_eq!(ok.job(), JobId(0));
@@ -2194,6 +2021,34 @@ mod tests {
         let extras = cluster.take_extras();
         assert_eq!(extras.events, None, "runtime nodes report no sim events");
         assert!(extras.steals.is_some());
+    }
+
+    #[test]
+    fn runtime_task_panics_surface_their_message_and_the_node_keeps_serving() {
+        let session = SessionBuilder::new(Arc::new(Topology::symmetric(2)), Policy::Rws).seed(1);
+        let mut cluster = ClusterBuilder::new(session, 1).build_runtime();
+        let mut bad = TaskGraph::new("bad");
+        bad.add(
+            TaskTypeId(0),
+            das_core::Priority::Low,
+            |_: &das_runtime::TaskCtx| panic!("boom-4242"),
+        );
+        let t = Executor::submit(&mut cluster, JobSpec::new(bad)).unwrap();
+        assert_eq!(
+            Executor::wait(&mut cluster, t),
+            Err(ExecError::Failed(
+                "node 0: node executor panicked: boom-4242".into()
+            ))
+        );
+        let mut good = TaskGraph::new("good");
+        good.add(
+            TaskTypeId(0),
+            das_core::Priority::Low,
+            |_: &das_runtime::TaskCtx| {},
+        );
+        let t = Executor::submit(&mut cluster, JobSpec::new(good)).unwrap();
+        assert_eq!(Executor::wait(&mut cluster, t).unwrap().tasks, 1);
+        assert!(cluster.is_alive(0));
     }
 
     #[test]

@@ -1,36 +1,36 @@
-//! Wire format of the cluster control/stats plane.
+//! Frames of the cluster link.
 //!
-//! `das_msg` payloads are flat `Vec<f64>` (the substrate models MPI
-//! ghost-cell rows), so everything crossing a node boundary — commands,
-//! acknowledgements, job records, extras counters — is encoded into
-//! f64 slots here. All integer fields that transit the wire (job ids,
-//! task counts, error codes) are far below 2^53, so the f64 round-trip
-//! is exact; timestamps are f64 on both sides already, so job records
-//! decode **bit-identically** — the property the 1-node differential
-//! test (`tests/cluster_exec.rs`) pins.
+//! Each node talks to the dispatcher over a private 2-rank
+//! [`das_msg::Communicator`] whose payload is [`Frame`]: commands,
+//! replies, load reports and metrics snapshots travel as typed values —
+//! graphs, job records, extras, snapshots, trace spans and errors
+//! included — so there is no codec and nothing to misframe. The link is
+//! in-process; a socket transport would add a codec at this boundary.
+//! Every frame goes out on the tag of its plane ([`Frame::tag`]), so a
+//! receive on one tag only ever yields that plane's variant.
 
 use das_core::exec::{ExecError, ExecExtras};
-use das_core::jobs::{JobClass, JobId, JobStats};
-use das_core::metrics::{NodeSnapshot, TraceSpan, TRACE_SPAN_SLOTS};
-use das_msg::Payload;
+use das_core::jobs::{JobSpec, JobStats, StreamStats};
+use das_core::metrics::{NodeSnapshot, TraceSpan};
+use das_msg::Endpoint;
 
-/// Dispatcher → node commands. One command per payload, opcode first.
+/// Dispatcher → node commands.
 pub(crate) const T_CTRL: u32 = 1;
-/// Node → dispatcher command acknowledgements.
+/// Node → dispatcher command replies.
 pub(crate) const T_ACK: u32 = 2;
-/// Node → dispatcher unsolicited load reports (`[outstanding_jobs]`),
-/// pushed before every acknowledgement so the dispatcher's routing view
-/// is current by the time a command completes. Collapsed to the newest
+/// Node → dispatcher unsolicited load reports (outstanding jobs),
+/// pushed before every reply so the dispatcher's routing view is
+/// current by the time a command completes. Collapsed to the newest
 /// report with [`das_msg::Endpoint::try_recv_latest`].
 pub(crate) const T_LOAD: u32 = 3;
-/// Node → dispatcher unsolicited metrics snapshots (an encoded
-/// [`NodeSnapshot`]), pushed immediately *before* the load report they
-/// ride with — the dispatcher's keep-latest read then always observes a
-/// snapshot at least as fresh as the load value it routes on. The pair
-/// shares **one** fault decision: a `DropLoadReports`/`DelayLoadReports`
-/// token that suppresses (or staleness-shifts) the load report does the
-/// same to the snapshot. Cumulative counters make the stream
-/// loss-tolerant: any later snapshot subsumes a dropped one.
+/// Node → dispatcher unsolicited metrics snapshots, pushed immediately
+/// *before* the load report they ride with — the dispatcher's
+/// keep-latest read then always observes a snapshot at least as fresh
+/// as the load value it routes on. The pair shares **one** fault
+/// decision: a `DropLoadReports`/`DelayLoadReports` token that
+/// suppresses (or staleness-shifts) the load report does the same to
+/// the snapshot. Cumulative counters make the stream loss-tolerant:
+/// any later snapshot subsumes a dropped one.
 pub(crate) const T_METRICS: u32 = 4;
 
 /// The dispatcher's rank on every per-node link.
@@ -41,470 +41,210 @@ pub(crate) const DISPATCHER: usize = 0;
 /// collective.
 pub(crate) const NODE: usize = 1;
 
-pub(crate) const OP_SUBMIT: f64 = 1.0;
-pub(crate) const OP_WAIT: f64 = 2.0;
-pub(crate) const OP_DRAIN: f64 = 3.0;
-pub(crate) const OP_SHUTDOWN: f64 = 4.0;
-/// Batch submission: the command payload is `[OP_SUBMIT_MANY, k]` for a
-/// `k`-job sub-batch (the specs travel over the same in-process spec
-/// channel as `OP_SUBMIT`, `k` of them). One wire message carries the
-/// whole sub-batch — the amortisation the batch ingress path exists
-/// for. The success ack is `[ACK_OK, k, local_0, .., local_{k-1}]`:
-/// the node-local job ids of the admitted batch, in sub-batch order.
-pub(crate) const OP_SUBMIT_MANY: f64 = 5.0;
-/// Pull the node's accumulated execution trace spans (the unified
-/// multi-node chrome trace). Success ack is `[ACK_OK, n]` followed by
-/// `n` encoded [`TraceSpan`]s; the pull drains the node's buffer.
-pub(crate) const OP_PULL_TRACE: f64 = 6.0;
-/// Drain, but reply with a *summary* instead of per-job records:
-/// `[ACK_OK, jobs, tasks, span]`, the extras block, then the node's
-/// post-drain [`NodeSnapshot`] (whose mergeable sketches carry the
-/// percentiles). This is the sketch-backed replacement for shipping
-/// every completion record across the wire solely to compute
-/// cluster-wide percentiles.
-pub(crate) const OP_DRAIN_SUMMARY: f64 = 7.0;
-
-pub(crate) const ACK_OK: f64 = 1.0;
-pub(crate) const ACK_ERR: f64 = 0.0;
-
-pub(crate) const ERR_REJECTED: f64 = 1.0;
-pub(crate) const ERR_FAILED: f64 = 2.0;
-pub(crate) const ERR_UNKNOWN_TICKET: f64 = 3.0;
-/// Admission-bound rejection; payload carries `[.., outstanding,
-/// limit]` so the typed error reconstructs exactly.
-pub(crate) const ERR_OVERLOADED: f64 = 4.0;
-/// The node-agent thread died: sent by the agent's panic wrapper as its
-/// last frame, decoded into [`ExecError::NodeFailed`]. Payload carries
-/// `[.., node]` for symmetry, but the dispatcher trusts the link the
-/// frame arrived on over the payload.
-pub(crate) const ERR_NODE_FAILED: f64 = 5.0;
-/// A control RPC deadline expired ([`ExecError::Timeout`]); payload
-/// carries `[.., waited_ms]`. Encoded for wire-format completeness —
-/// in practice the *absence* of a frame produces this error.
-pub(crate) const ERR_TIMEOUT: f64 = 6.0;
-
-/// f64 slots per encoded [`JobStats`] record.
-pub(crate) const JOB_SLOTS: usize = 8;
-
-/// Encode one completion record into `out` (8 slots appended).
-pub(crate) fn push_job(out: &mut Payload, j: &JobStats) {
-    out.push(j.id.0 as f64);
-    out.push(f64::from(j.class.0));
-    out.push(j.arrival);
-    out.push(j.started);
-    out.push(j.completed);
-    out.push(j.tasks as f64);
-    out.push(if j.deadline.is_some() { 1.0 } else { 0.0 });
-    out.push(j.deadline.unwrap_or(0.0));
+/// One message on a node link; the variant names its plane.
+pub(crate) enum Frame<G> {
+    /// Dispatcher → node, on [`T_CTRL`].
+    Command(Command<G>),
+    /// Node → dispatcher, on [`T_ACK`].
+    Reply(Reply),
+    /// Node → dispatcher outstanding-job count, on [`T_LOAD`].
+    Load(f64),
+    /// Node → dispatcher metrics snapshot, on [`T_METRICS`].
+    Snapshot(NodeSnapshot),
 }
 
-/// Encode a batch of records (flat, `JOB_SLOTS` per record).
-pub(crate) fn encode_jobs(jobs: &[JobStats]) -> Payload {
-    let mut out = Payload::with_capacity(jobs.len() * JOB_SLOTS);
-    for j in jobs {
-        push_job(&mut out, j);
+impl<G> Frame<G> {
+    /// The tag of this frame's plane.
+    pub(crate) fn tag(&self) -> u32 {
+        match self {
+            Frame::Command(_) => T_CTRL,
+            Frame::Reply(_) => T_ACK,
+            Frame::Load(_) => T_LOAD,
+            Frame::Snapshot(_) => T_METRICS,
+        }
     }
-    out
 }
 
-/// Decode a batch encoded by [`encode_jobs`].
-///
-/// # Panics
-/// Panics if the payload length is not a multiple of [`JOB_SLOTS`]
-/// (a framing bug, never a data condition).
-pub(crate) fn decode_jobs(p: &[f64]) -> Vec<JobStats> {
-    assert!(
-        p.len().is_multiple_of(JOB_SLOTS),
-        "job-record payload misframed: {} slots",
-        p.len()
-    );
-    p.chunks_exact(JOB_SLOTS)
-        .map(|c| JobStats {
-            id: JobId(c[0] as u64),
-            class: JobClass(c[1] as u16),
-            arrival: c[2],
-            started: c[3],
-            completed: c[4],
-            tasks: c[5] as usize,
-            deadline: (c[6] != 0.0).then_some(c[7]),
+/// Send `frame` to `dst` on the tag of its plane.
+pub(crate) fn post<G>(ep: &Endpoint<Frame<G>>, dst: usize, frame: Frame<G>) {
+    ep.send(dst, frame.tag(), frame);
+}
+
+/// Dispatcher → node commands. Each is answered by exactly one
+/// [`Reply`] (unless a `DropAcks` fault withholds it), except
+/// `Shutdown`, which ends the agent.
+pub(crate) enum Command<G> {
+    /// Admit one job; answered by [`Ack::Submitted`].
+    Submit(JobSpec<G>),
+    /// Admit a sub-batch in one frame — the amortisation the batch
+    /// ingress path exists for; answered by [`Ack::SubmittedMany`].
+    SubmitMany(Vec<JobSpec<G>>),
+    /// Redeem the node-local job id; answered by [`Ack::Waited`].
+    Wait(u64),
+    /// Drain the node; answered by [`Ack::Drained`].
+    Drain,
+    /// Drain, but reply with counts, stream endpoints and the node's
+    /// post-drain snapshot instead of per-job records; answered by
+    /// [`Ack::Summary`].
+    DrainSummary,
+    /// Hand over (and clear) the node's trace spans; answered by
+    /// [`Ack::Trace`].
+    PullTrace,
+    /// Stop the agent. `Cluster::drop` sends it last.
+    Shutdown,
+}
+
+/// Node → dispatcher replies.
+pub(crate) enum Reply {
+    /// The outcome of one command.
+    Ack(Result<Ack, ExecError>),
+    /// The agent died: sent by its panic wrapper as its last frame. It
+    /// carries no node id — the link it arrives on names the node, so
+    /// a confused agent cannot frame a peer.
+    NodeDown,
+}
+
+impl Reply {
+    /// The outcome of a reply that arrived on node `node`'s link,
+    /// attributed to that node: a death frame becomes
+    /// [`ExecError::NodeFailed`] for this link, and a `Rejected` or
+    /// `Failed` reason gains a `node {node}: ` prefix. The match names
+    /// every [`ExecError`] variant, so a new one must decide here how
+    /// it crosses the link.
+    pub(crate) fn on_link(self, node: usize) -> Result<Ack, ExecError> {
+        let e = match self {
+            Reply::Ack(Ok(ack)) => return Ok(ack),
+            Reply::Ack(Err(e)) => e,
+            Reply::NodeDown => return Err(ExecError::NodeFailed { node }),
+        };
+        Err(match e {
+            ExecError::Rejected(why) => ExecError::Rejected(format!("node {node}: {why}")),
+            ExecError::Failed(why) => ExecError::Failed(format!("node {node}: {why}")),
+            ExecError::NodeFailed { .. } => ExecError::NodeFailed { node },
+            e @ (ExecError::UnknownTicket(_)
+            | ExecError::Overloaded { .. }
+            | ExecError::Timeout { .. }) => e,
         })
-        .collect()
-}
-
-/// f64 slots per encoded [`ExecExtras`].
-pub(crate) const EXTRAS_SLOTS: usize = 8;
-
-/// The named extras values that transit the wire positionally (after
-/// the typed steals/events slots): `failed_steals` from `das-sim`, and
-/// the agent's snapshot-fault attribution counters — how many metrics
-/// snapshots it sent, and how many a `DropLoadReports` /
-/// `DelayLoadReports` fault suppressed or staleness-shifted since the
-/// last drain. Zero encodes as absent.
-pub(crate) const EXTRAS_KEYS: [&str; 4] = [
-    "failed_steals",
-    "snapshots_sent",
-    "snapshots_dropped",
-    "snapshots_delayed",
-];
-
-/// Encode the typed counters plus the named values of [`EXTRAS_KEYS`].
-/// The open extension map is string-keyed and cannot transit a numeric
-/// payload generally; unknown keys are intentionally left behind on the
-/// node — the cluster's merged extras carry the cross-backend counters
-/// plus its own per-node attribution values.
-pub(crate) fn encode_extras(e: &ExecExtras) -> Payload {
-    let mut out = vec![
-        if e.steals.is_some() { 1.0 } else { 0.0 },
-        e.steals.unwrap_or(0) as f64,
-        if e.events.is_some() { 1.0 } else { 0.0 },
-        e.events.unwrap_or(0) as f64,
-    ];
-    for key in EXTRAS_KEYS {
-        out.push(e.get(key).unwrap_or(0.0));
-    }
-    out
-}
-
-/// Decode one node's extras encoded by [`encode_extras`].
-pub(crate) fn decode_extras(p: &[f64]) -> ExecExtras {
-    assert_eq!(p.len(), EXTRAS_SLOTS, "extras payload misframed");
-    let mut e = ExecExtras::default();
-    if p[0] != 0.0 {
-        e.steals = Some(p[1] as u64);
-    }
-    if p[2] != 0.0 {
-        e.events = Some(p[3] as u64);
-    }
-    for (i, key) in EXTRAS_KEYS.iter().enumerate() {
-        if p[4 + i] != 0.0 {
-            e.set(*key, p[4 + i]);
-        }
-    }
-    e
-}
-
-/// Encode a node's metrics snapshot for a `T_METRICS` frame.
-pub(crate) fn encode_snapshot(s: &NodeSnapshot) -> Payload {
-    s.to_values()
-}
-
-/// Decode a `T_METRICS` frame. `None` on a misframed payload — the
-/// dispatcher skips it and keeps the previous snapshot (the stream is
-/// cumulative, so a skipped frame only costs freshness).
-pub(crate) fn decode_snapshot(p: &[f64]) -> Option<NodeSnapshot> {
-    NodeSnapshot::from_values(p)
-}
-
-/// Encode a successful `OP_PULL_TRACE` reply: `[ACK_OK, n, spans…]`.
-pub(crate) fn encode_trace_ok(spans: &[TraceSpan]) -> Payload {
-    let mut p = Payload::with_capacity(2 + spans.len() * TRACE_SPAN_SLOTS);
-    p.push(ACK_OK);
-    p.push(spans.len() as f64);
-    for s in spans {
-        s.push_values(&mut p);
-    }
-    p
-}
-
-/// Decode the body of a successful `OP_PULL_TRACE` reply (everything
-/// after the `ACK_OK` slot).
-///
-/// # Panics
-/// Panics if the span body disagrees with the count header (a framing
-/// bug, never a data condition).
-pub(crate) fn decode_trace_ok(p: &[f64]) -> Vec<TraceSpan> {
-    let n = p.first().copied().unwrap_or(0.0) as usize;
-    let body = &p[1..];
-    assert_eq!(
-        body.len(),
-        n * TRACE_SPAN_SLOTS,
-        "trace reply misframed: {} spans announced, {} slots",
-        n,
-        body.len()
-    );
-    body.chunks_exact(TRACE_SPAN_SLOTS)
-        .map(|c| TraceSpan::from_values(c).expect("trace span misframed"))
-        .collect()
-}
-
-/// Encode a successful `OP_DRAIN_SUMMARY` reply: `[ACK_OK, jobs,
-/// tasks, t0, t1]`, the extras block, then the node's post-drain
-/// snapshot. `t0`/`t1` are the node's first arrival and last
-/// completion (not a pre-folded span) so the dispatcher can compute
-/// the *global* stream span across nodes — identical to what
-/// `StreamStats::from_jobs` would report over the merged records. An
-/// empty epoch ships the fold identities (`t0 = +inf`, `t1 = 0`).
-pub(crate) fn encode_summary_ok(
-    jobs: u64,
-    tasks: u64,
-    t0: f64,
-    t1: f64,
-    extras: &ExecExtras,
-    snapshot: &NodeSnapshot,
-) -> Payload {
-    let mut p = vec![ACK_OK, jobs as f64, tasks as f64, t0, t1];
-    p.extend(encode_extras(extras));
-    p.extend(snapshot.to_values());
-    p
-}
-
-/// Decode a successful `OP_DRAIN_SUMMARY` reply.
-///
-/// # Panics
-/// Panics if the payload does not frame as header + extras + snapshot.
-#[allow(clippy::type_complexity)]
-pub(crate) fn decode_summary_ok(p: &[f64]) -> (u64, u64, f64, f64, ExecExtras, NodeSnapshot) {
-    assert!(
-        p.len() > 5 + EXTRAS_SLOTS,
-        "drain-summary reply misframed: {} slots",
-        p.len()
-    );
-    let extras = decode_extras(&p[5..5 + EXTRAS_SLOTS]);
-    let snapshot = NodeSnapshot::from_values(&p[5 + EXTRAS_SLOTS..])
-        .expect("drain-summary snapshot misframed");
-    (p[1] as u64, p[2] as u64, p[3], p[4], extras, snapshot)
-}
-
-/// Encode an executor error as an acknowledgement payload.
-pub(crate) fn encode_err(e: &ExecError) -> Payload {
-    match e {
-        ExecError::Rejected(_) => vec![ACK_ERR, ERR_REJECTED],
-        ExecError::Failed(_) => vec![ACK_ERR, ERR_FAILED],
-        ExecError::UnknownTicket(id) => vec![ACK_ERR, ERR_UNKNOWN_TICKET, id.0 as f64],
-        ExecError::Overloaded { outstanding, limit } => {
-            vec![ACK_ERR, ERR_OVERLOADED, *outstanding as f64, *limit as f64]
-        }
-        ExecError::NodeFailed { node } => vec![ACK_ERR, ERR_NODE_FAILED, *node as f64],
-        ExecError::Timeout { waited_ms } => vec![ACK_ERR, ERR_TIMEOUT, *waited_ms as f64],
     }
 }
 
-/// Decode an error acknowledgement. `node` is the link the frame
-/// arrived on (authoritative for [`ExecError::NodeFailed`]); `detail`
-/// is the node's side-channel error string (same process, so strings
-/// need not cross the payload format).
-pub(crate) fn decode_err(p: &[f64], node: usize, detail: String) -> ExecError {
-    match p.get(1).copied() {
-        Some(c) if c == ERR_REJECTED => ExecError::Rejected(detail),
-        Some(c) if c == ERR_UNKNOWN_TICKET => {
-            ExecError::UnknownTicket(JobId(p.get(2).copied().unwrap_or(0.0) as u64))
-        }
-        Some(c) if c == ERR_OVERLOADED => ExecError::Overloaded {
-            outstanding: p.get(2).copied().unwrap_or(0.0) as usize,
-            limit: p.get(3).copied().unwrap_or(0.0) as usize,
-        },
-        Some(c) if c == ERR_NODE_FAILED => ExecError::NodeFailed { node },
-        Some(c) if c == ERR_TIMEOUT => ExecError::Timeout {
-            waited_ms: p.get(2).copied().unwrap_or(0.0) as u64,
-        },
-        Some(c) if c == ERR_FAILED => ExecError::Failed(detail),
-        // An unknown code (a frame from a newer protocol revision)
-        // still degrades to `Failed` rather than panicking mid-stream.
-        _ => ExecError::Failed(detail),
-    }
+/// The successful answer to each [`Command`].
+pub(crate) enum Ack {
+    /// The node-local id of the admitted job.
+    Submitted(u64),
+    /// The node-local ids of the admitted sub-batch, in batch order.
+    SubmittedMany(Vec<u64>),
+    /// The waited job's record, under its node-local id.
+    Waited(JobStats),
+    /// The node's drained stream and its extras since the last drain.
+    Drained(StreamStats, ExecExtras),
+    /// The answer to [`Command::DrainSummary`].
+    Summary(Box<Summary>),
+    /// The node's trace spans since the last pull.
+    Trace(Vec<TraceSpan>),
+}
+
+/// A node's drain summary. `t0`/`t1` are its first arrival and last
+/// completion (not a pre-folded span), so the dispatcher computes the
+/// *global* stream span across nodes — identical to what
+/// `StreamStats::from_jobs` reports over the merged records. An empty
+/// epoch carries the fold identities (`t0 = +inf`, `t1 = 0`).
+pub(crate) struct Summary {
+    pub jobs: u64,
+    pub tasks: u64,
+    pub t0: f64,
+    pub t1: f64,
+    pub extras: ExecExtras,
+    pub snapshot: NodeSnapshot,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use das_core::metrics::ExecProbe;
+    use crate::ClusterBuilder;
+    use das_core::exec::{Executor, SessionBuilder, Ticket};
+    use das_core::jobs::JobId;
+    use das_core::{Policy, TaskTypeId};
+    use das_dag::{generators, Dag};
+    use das_sim::Simulator;
+    use das_topology::Topology;
+    use std::sync::Arc;
 
-    fn job(id: u64, deadline: Option<f64>) -> JobStats {
-        JobStats {
-            id: JobId(id),
-            class: JobClass(7),
-            arrival: 0.125,
-            started: 0.25,
-            completed: 1.5,
-            tasks: 42,
-            deadline,
+    #[test]
+    fn failure_errors_round_trip_and_trust_the_link() {
+        // A death frame names no node: the link it arrived on does.
+        let on_2 = |r: Reply| r.on_link(2).err();
+        assert_eq!(
+            on_2(Reply::NodeDown),
+            Some(ExecError::NodeFailed { node: 2 })
+        );
+        // A node cannot frame a peer either.
+        assert_eq!(
+            on_2(Reply::Ack(Err(ExecError::NodeFailed { node: 7 }))),
+            Some(ExecError::NodeFailed { node: 2 })
+        );
+        // Typed fields cross unchanged; reasons gain the node once.
+        for e in [
+            ExecError::Timeout { waited_ms: 1500 },
+            ExecError::UnknownTicket(JobId(9)),
+            ExecError::Overloaded {
+                outstanding: 64,
+                limit: 64,
+            },
+        ] {
+            assert_eq!(on_2(Reply::Ack(Err(e.clone()))), Some(e));
+        }
+        assert_eq!(
+            on_2(Reply::Ack(Err(ExecError::Failed("budget".into())))),
+            Some(ExecError::Failed("node 2: budget".into()))
+        );
+    }
+
+    /// A simulator that reports no steal counter.
+    struct NoSteals(Simulator);
+
+    impl Executor for NoSteals {
+        type Graph = Dag;
+
+        fn backend(&self) -> &'static str {
+            "no-steals"
+        }
+
+        fn submit(&mut self, spec: JobSpec<Dag>) -> Result<Ticket, ExecError> {
+            Executor::submit(&mut self.0, spec)
+        }
+
+        fn wait(&mut self, ticket: Ticket) -> Result<JobStats, ExecError> {
+            Executor::wait(&mut self.0, ticket)
+        }
+
+        fn drain(&mut self) -> Result<StreamStats, ExecError> {
+            Executor::drain(&mut self.0)
+        }
+
+        fn take_extras(&mut self) -> ExecExtras {
+            let mut e = self.0.take_extras();
+            e.steals = None;
+            e
         }
     }
 
     #[test]
-    fn job_records_round_trip_bit_exact() {
-        let jobs = vec![job(0, None), job(1, Some(9.75)), job(u32::MAX as u64, None)];
-        let decoded = decode_jobs(&encode_jobs(&jobs));
-        assert_eq!(decoded, jobs);
-    }
-
-    #[test]
-    fn empty_batch_round_trips() {
-        assert!(decode_jobs(&encode_jobs(&[])).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "misframed")]
-    fn misframed_records_panic() {
-        decode_jobs(&[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn extras_round_trip_preserves_absence() {
-        let mut e = ExecExtras::default();
-        e.events = Some(123);
-        e.set("failed_steals", 4.0);
-        let d = decode_extras(&encode_extras(&e));
-        assert_eq!(d.steals, None, "absent stays absent, not Some(0)");
-        assert_eq!(d.events, Some(123));
-        assert_eq!(d.get("failed_steals"), Some(4.0));
-        let zero = decode_extras(&encode_extras(&ExecExtras::default()));
-        assert!(zero.is_empty());
-    }
-
-    fn snapshot(node: u64, seq: u64) -> NodeSnapshot {
-        let mut probe = ExecProbe {
-            queue_depth: 3,
-            jobs_admitted: 40,
-            jobs_completed: 37,
-            tasks_completed: 1480,
-            steals: 12,
-            failed_steals: 2,
-            events: 9000,
-            busy: 1.5,
-            capacity: 2.0,
-            ptt_residual: 0.25,
-            ..ExecProbe::default()
-        };
-        probe.sojourn.record(0.001);
-        probe.sojourn.record(0.25);
-        probe.queueing.record(1e-4);
-        NodeSnapshot { node, seq, probe }
-    }
-
-    #[test]
-    fn metrics_snapshots_round_trip_bit_exact() {
-        let s = snapshot(2, 17);
-        let decoded = decode_snapshot(&encode_snapshot(&s)).expect("well-framed");
-        assert_eq!(decoded, s);
-        // Sketch counts survive exactly (the merge path depends on it).
-        assert_eq!(decoded.probe.sojourn.count(), 2);
-    }
-
-    #[test]
-    fn misframed_snapshots_decode_to_none() {
-        let mut p = encode_snapshot(&snapshot(0, 1));
-        p.push(0.0); // trailing junk
-        assert_eq!(decode_snapshot(&p), None);
-        assert_eq!(decode_snapshot(&[1.0, 2.0]), None);
-        assert_eq!(decode_snapshot(&[]), None);
-    }
-
-    #[test]
-    fn trace_replies_round_trip() {
-        let spans = vec![
-            TraceSpan {
-                core: 1,
-                start: 0.5,
-                end: 1.25,
-                task: 7,
-                ty: 3,
-                leader: 0,
-                width: 2,
-                tag: 4,
-            },
-            TraceSpan {
-                core: 0,
-                start: 0.0,
-                end: 0.125,
-                task: 8,
-                ty: 0,
-                leader: 0,
-                width: 1,
-                tag: 0,
-            },
-        ];
-        let p = encode_trace_ok(&spans);
-        assert_eq!(p.first(), Some(&ACK_OK));
-        assert_eq!(decode_trace_ok(&p[1..]), spans);
-        assert!(decode_trace_ok(&encode_trace_ok(&[])[1..]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "misframed")]
-    fn misframed_trace_reply_panics() {
-        decode_trace_ok(&[2.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn drain_summary_round_trips() {
-        let mut extras = ExecExtras::default();
-        extras.steals = Some(5);
-        extras.set("snapshots_sent", 3.0);
-        extras.set("snapshots_dropped", 1.0);
-        let s = snapshot(1, 9);
-        let p = encode_summary_ok(37, 1480, 0.25, 12.75, &extras, &s);
-        let (jobs, tasks, t0, t1, ext, snap) = decode_summary_ok(&p);
-        assert_eq!((jobs, tasks), (37, 1480));
-        assert_eq!((t0, t1), (0.25, 12.75));
-        assert_eq!(ext.steals, Some(5));
-        assert_eq!(ext.get("snapshots_sent"), Some(3.0));
-        assert_eq!(ext.get("snapshots_dropped"), Some(1.0));
-        assert_eq!(ext.get("snapshots_delayed"), None, "zero stays absent");
-        assert_eq!(snap, s);
-    }
-
-    #[test]
-    #[should_panic(expected = "misframed")]
-    fn misframed_summary_panics() {
-        decode_summary_ok(&[ACK_OK, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn errors_round_trip_with_detail() {
-        let e = decode_err(
-            &encode_err(&ExecError::Rejected("x".into())),
-            0,
-            "empty graph".into(),
+        let base = SessionBuilder::new(Arc::new(Topology::tx2()), Policy::DamC).seed(5);
+        let mut cluster = ClusterBuilder::new(base, 2)
+            .build_with(|_, session| NoSteals(Simulator::from_session(session)));
+        for j in 0..4 {
+            let dag = generators::chain(TaskTypeId(0), 4);
+            Executor::submit(&mut cluster, JobSpec::new(dag).at(j as f64 * 1e-3)).unwrap();
+        }
+        cluster.drain().unwrap();
+        let extras = cluster.take_extras();
+        assert_eq!(extras.steals, None, "absent stays absent, not Some(0)");
+        assert!(extras.get("node0.steals").is_none());
+        assert!(
+            extras.events.is_some_and(|e| e > 0),
+            "present stays present"
         );
-        assert_eq!(e, ExecError::Rejected("empty graph".into()));
-        let e = decode_err(
-            &encode_err(&ExecError::UnknownTicket(JobId(9))),
-            0,
-            String::new(),
-        );
-        assert_eq!(e, ExecError::UnknownTicket(JobId(9)));
-        let e = decode_err(
-            &encode_err(&ExecError::Failed("b".into())),
-            0,
-            "budget".into(),
-        );
-        assert_eq!(e, ExecError::Failed("budget".into()));
-        // The typed overload fields survive the numeric payload.
-        let e = decode_err(
-            &encode_err(&ExecError::Overloaded {
-                outstanding: 64,
-                limit: 64,
-            }),
-            0,
-            String::new(),
-        );
-        assert_eq!(
-            e,
-            ExecError::Overloaded {
-                outstanding: 64,
-                limit: 64
-            }
-        );
-    }
-
-    #[test]
-    fn failure_errors_round_trip_and_trust_the_link() {
-        // NodeFailed: the decoded node is the *link* the frame arrived
-        // on, not the payload slot (a confused agent cannot frame a
-        // peer).
-        let e = decode_err(
-            &encode_err(&ExecError::NodeFailed { node: 7 }),
-            2,
-            String::new(),
-        );
-        assert_eq!(e, ExecError::NodeFailed { node: 2 });
-        // Timeout carries its waited budget through the payload.
-        let e = decode_err(
-            &encode_err(&ExecError::Timeout { waited_ms: 1500 }),
-            0,
-            String::new(),
-        );
-        assert_eq!(e, ExecError::Timeout { waited_ms: 1500 });
     }
 }

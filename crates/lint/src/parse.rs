@@ -24,7 +24,7 @@
 //! identity, closures attributed to the enclosing function, `if let`
 //! guard bindings treated as temporaries).
 
-use crate::lexer::{token_stream, LineInfo};
+use crate::lexer::token_stream;
 use crate::rules::{FileCtx, BLOCK_TAG, LOCK_TAG};
 
 /// Methods that acquire a `Mutex`/`RwLock` guard.
@@ -126,21 +126,6 @@ pub fn file_graph(ctx: &FileCtx<'_>) -> FileGraph {
         fns.push(extract_fn(ctx, name, fn_line, body));
     }
     FileGraph { fns }
-}
-
-/// Function name/line spans of a file, 1-based inclusive line ranges.
-/// Bodyless declarations (trait method signatures) are skipped. Used
-/// directly by the wire-protocol rule to locate `encode_err` /
-/// `decode_err` bodies.
-pub fn fn_spans(lines: &[LineInfo]) -> Vec<(String, usize, usize)> {
-    let toks = token_stream(lines);
-    fn_bodies(&toks)
-        .into_iter()
-        .map(|(name, line, body)| {
-            let end = body.last().map_or(line, |t| t.0);
-            (name, line + 1, end + 1)
-        })
-        .collect()
 }
 
 /// One `fn name … { body }` item found in a token stream: the name,

@@ -11,9 +11,9 @@ use std::path::{Path, PathBuf};
 
 use das_lint::lexer::mask;
 use das_lint::rules::{
-    check_contract, check_wire, rule_blocking, rule_lock_order, FileKind, LockEdge, RULE_ATOMICS,
+    check_contract, rule_blocking, rule_lock_order, FileKind, LockEdge, RULE_ATOMICS,
     RULE_BLOCKING, RULE_CONTRACT, RULE_DETERMINISM, RULE_FAULT, RULE_LOCK_ORDER, RULE_PANIC,
-    RULE_UNSAFE, RULE_WIRE,
+    RULE_UNSAFE,
 };
 use das_lint::{audit_source, graph_source, Config};
 
@@ -257,7 +257,7 @@ fn clean_fixture_is_clean_under_strictest_classification() {
 }
 
 // ---------------------------------------------------------------------
-// Graph-layer fixtures: rules 7 (lock-order), 8 (blocking), 9 (wire).
+// Graph-layer fixtures: rules 7 (lock-order) and 8 (blocking).
 // ---------------------------------------------------------------------
 
 /// Control-plane library code: the classification rule 8 fires on.
@@ -361,70 +361,6 @@ fn unbounded_recv_flagged_on_control_plane_only() {
 fn justified_and_bounded_receives_are_clean() {
     assert_eq!(blocking_audit("block_ok.rs", CONTROL), vec![]);
     assert_eq!(blocking_audit("block_bounded.rs", CONTROL), vec![]);
-}
-
-#[test]
-fn wire_drift_reports_collision_undispatched_and_undecoded() {
-    let w = mask(&fixture("wire_bad.rs"));
-    let d = mask(&fixture("wire_bad_dispatch.rs"));
-    let diags = check_wire(
-        Path::new("wire_bad.rs"),
-        &w,
-        Path::new("wire_bad_dispatch.rs"),
-        &d,
-    );
-    let got: Vec<_> = diags.iter().map(|x| (x.line, x.rule)).collect();
-    // Line 7: OP_DRAIN reuses OP_WAIT's value. Line 8: OP_SHUTDOWN is
-    // never dispatched. Line 11: ERR_FAILED is swallowed by the `_ =>`
-    // fallback in decode_err.
-    assert_eq!(got, vec![(7, RULE_WIRE), (8, RULE_WIRE), (11, RULE_WIRE)]);
-    assert!(diags[0].msg.contains("collides"));
-    assert!(diags[1].msg.contains("never dispatched"));
-    assert!(diags[2].msg.contains("decode_err"));
-}
-
-#[test]
-fn wire_coherent_space_is_clean() {
-    let w = mask(&fixture("wire_good.rs"));
-    let d = mask(&fixture("wire_good_dispatch.rs"));
-    assert_eq!(
-        check_wire(
-            Path::new("wire_good.rs"),
-            &w,
-            Path::new("wire_good_dispatch.rs"),
-            &d,
-        ),
-        vec![]
-    );
-}
-
-#[test]
-fn wire_stale_checks_fail_loudly() {
-    // A wire file with no OP_*/ERR_*/ACK_* constants means the check
-    // no longer points at the real wire definition.
-    let w = mask(&fixture("wire_bad_dispatch.rs"));
-    let d = mask(&fixture("wire_bad.rs"));
-    let diags = check_wire(
-        Path::new("wire_bad_dispatch.rs"),
-        &w,
-        Path::new("wire_bad.rs"),
-        &d,
-    );
-    assert_eq!(diags.len(), 1);
-    assert!(diags[0].msg.contains("stale"));
-
-    // Constants without the encode/decode functions: both fn lookups
-    // must fail loudly rather than silently skipping the ERR checks.
-    let w = mask("pub const OP_X: f64 = 1.0;\n");
-    let d = mask("if op == OP_X { go(); }\n");
-    let diags = check_wire(
-        Path::new("inline_wire.rs"),
-        &w,
-        Path::new("inline_dispatch.rs"),
-        &d,
-    );
-    assert_eq!(diags.len(), 2);
-    assert!(diags.iter().all(|x| x.msg.contains("stale")));
 }
 
 /// The real gate: the workspace itself must audit clean. This is what

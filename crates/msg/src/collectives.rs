@@ -17,12 +17,9 @@ use crate::{Endpoint, Payload};
 pub const COLLECTIVE_TAG_BASE: u32 = u32::MAX - 16;
 
 const T_BCAST: u32 = COLLECTIVE_TAG_BASE;
-const T_GATHER: u32 = COLLECTIVE_TAG_BASE + 1;
-const T_SCATTER: u32 = COLLECTIVE_TAG_BASE + 2;
-const T_REDUCE: u32 = COLLECTIVE_TAG_BASE + 3;
-const T_ALLGATHER_G: u32 = COLLECTIVE_TAG_BASE + 4;
-const T_ALLGATHER_B: u32 = COLLECTIVE_TAG_BASE + 5;
-const T_ALLTOALL: u32 = COLLECTIVE_TAG_BASE + 6;
+const T_REDUCE: u32 = COLLECTIVE_TAG_BASE + 1;
+const T_ALLGATHER_G: u32 = COLLECTIVE_TAG_BASE + 2;
+const T_ALLGATHER_B: u32 = COLLECTIVE_TAG_BASE + 3;
 
 /// Element-wise reduction operators for [`Endpoint::reduce`] /
 /// [`Endpoint::allreduce`].
@@ -71,56 +68,6 @@ impl Endpoint {
         }
     }
 
-    /// Gather every rank's payload at `root`, rank order. Non-root ranks
-    /// get `None`.
-    pub fn gather(&self, root: usize, payload: Payload) -> Option<Vec<Payload>> {
-        assert!(root < self.size(), "gather root {root} out of range");
-        if self.rank() == root {
-            let mut out: Vec<Payload> = Vec::with_capacity(self.size());
-            for src in 0..self.size() {
-                if src == root {
-                    out.push(payload.clone());
-                } else {
-                    // block-ok: every non-root rank's matching gather
-                    // call sends unconditionally (non-blocking), so the
-                    // part is in flight by collective discipline.
-                    out.push(self.recv(src, T_GATHER));
-                }
-            }
-            Some(out)
-        } else {
-            self.send(root, T_GATHER, payload);
-            None
-        }
-    }
-
-    /// Scatter `root`'s `parts` (one per rank) to every rank; non-root
-    /// ranks pass `None`. Returns this rank's part.
-    ///
-    /// # Panics
-    /// Panics at the root if `parts.len() != size`.
-    pub fn scatter(&self, root: usize, parts: Option<Vec<Payload>>) -> Payload {
-        assert!(root < self.size(), "scatter root {root} out of range");
-        if self.rank() == root {
-            let parts = parts.expect("root must supply the parts");
-            assert_eq!(parts.len(), self.size(), "one part per rank");
-            let mut mine = Payload::new();
-            for (dst, part) in parts.into_iter().enumerate() {
-                if dst == root {
-                    mine = part;
-                } else {
-                    self.send(dst, T_SCATTER, part);
-                }
-            }
-            mine
-        } else {
-            // block-ok: the root's matching scatter call sends one part
-            // to every non-root rank before returning — collective
-            // discipline bounds this wait.
-            self.recv(root, T_SCATTER)
-        }
-    }
-
     /// Element-wise reduce of equally sized vectors at `root`; non-root
     /// ranks get `None`.
     pub fn reduce(&self, root: usize, op: ReduceOp, mut local: Payload) -> Option<Payload> {
@@ -147,8 +94,8 @@ impl Endpoint {
     }
 
     /// Reduce at rank 0 followed by broadcast: every rank gets the
-    /// reduced vector. Generalises [`Endpoint::allreduce_sum`] to any
-    /// [`ReduceOp`].
+    /// reduced vector. Rank 0 folds ranks `1..n` in rank order, so a
+    /// sum is reproducible bit for bit.
     pub fn allreduce(&self, op: ReduceOp, local: Payload) -> Payload {
         match self.reduce(0, op, local) {
             Some(v) => self.broadcast(0, v),
@@ -187,36 +134,6 @@ impl Endpoint {
                 .map(|_| self.recv(0, T_ALLGATHER_B))
                 .collect()
         }
-    }
-
-    /// Personalised all-to-all: `parts[d]` goes to rank `d`; the result's
-    /// slot `s` is what rank `s` sent to this rank. Direct point-to-point
-    /// (no root): sends are non-blocking, so no deadlock.
-    ///
-    /// # Panics
-    /// Panics if `parts.len() != size`.
-    pub fn alltoall(&self, parts: Vec<Payload>) -> Vec<Payload> {
-        assert_eq!(parts.len(), self.size(), "one part per destination");
-        let mut mine = Payload::new();
-        for (dst, part) in parts.into_iter().enumerate() {
-            if dst == self.rank() {
-                mine = part;
-            } else {
-                self.send(dst, T_ALLTOALL, part);
-            }
-        }
-        (0..self.size())
-            .map(|src| {
-                if src == self.rank() {
-                    std::mem::take(&mut mine)
-                } else {
-                    // block-ok: every rank sends all its parts before
-                    // receiving any (sends are non-blocking), so each
-                    // expected frame is in flight when this recv parks.
-                    self.recv(src, T_ALLTOALL)
-                }
-            })
-            .collect()
     }
 }
 
@@ -259,33 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_preserves_rank_order() {
-        let got = on_ranks(4, |e| e.gather(2, vec![e.rank() as f64]));
-        for (r, res) in got.iter().enumerate() {
-            if r == 2 {
-                let v = res.as_ref().unwrap();
-                assert_eq!(v.len(), 4);
-                for (s, part) in v.iter().enumerate() {
-                    assert_eq!(part, &vec![s as f64]);
-                }
-            } else {
-                assert!(res.is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_distributes_parts() {
-        let got = on_ranks(4, |e| {
-            let parts = (e.rank() == 1).then(|| (0..4).map(|d| vec![d as f64 * 10.0]).collect());
-            e.scatter(1, parts)
-        });
-        for (r, part) in got.iter().enumerate() {
-            assert_eq!(part, &vec![r as f64 * 10.0]);
-        }
-    }
-
-    #[test]
     fn reduce_ops() {
         for (op, expect) in [
             (ReduceOp::Sum, vec![6.0, 4.0]),
@@ -299,38 +189,12 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_matches_allreduce_sum() {
-        let a = on_ranks(3, |e| e.allreduce(ReduceOp::Sum, vec![e.rank() as f64]));
-        let b = on_ranks(3, |e| e.allreduce_sum(vec![e.rank() as f64]));
-        assert_eq!(a, b);
-        let m = on_ranks(3, |e| e.allreduce(ReduceOp::Max, vec![e.rank() as f64]));
-        for v in m {
-            assert_eq!(v, vec![2.0]);
-        }
-    }
-
-    #[test]
     fn allgather_with_ragged_lengths() {
         let got = on_ranks(3, |e| e.allgather(vec![e.rank() as f64; e.rank() + 1]));
         for per_rank in got {
             assert_eq!(per_rank.len(), 3);
             for (s, part) in per_rank.iter().enumerate() {
                 assert_eq!(part, &vec![s as f64; s + 1]);
-            }
-        }
-    }
-
-    #[test]
-    fn alltoall_transposes() {
-        let got = on_ranks(3, |e| {
-            let parts = (0..3)
-                .map(|d| vec![(e.rank() * 10 + d) as f64])
-                .collect::<Vec<_>>();
-            e.alltoall(parts)
-        });
-        for (r, res) in got.iter().enumerate() {
-            for (s, part) in res.iter().enumerate() {
-                assert_eq!(part, &vec![(s * 10 + r) as f64], "rank {r} from {s}");
             }
         }
     }
@@ -356,31 +220,30 @@ mod tests {
     fn single_rank_barrier_and_repeated_collectives_never_block() {
         // A 1-rank communicator must treat every collective (and the
         // barrier) as an immediate identity, generation after
-        // generation — the shape a 1-node cluster drain epilogue runs.
+        // generation.
         let comm = Communicator::new(1);
         let e = comm.endpoint(0);
         for i in 0..10 {
             e.barrier();
             let v = e.allreduce(ReduceOp::Sum, vec![i as f64]);
             assert_eq!(v, vec![i as f64]);
-            let g = e.gather(0, vec![i as f64]).unwrap();
+            let g = e.allgather(vec![i as f64]);
             assert_eq!(g, vec![vec![i as f64]]);
         }
     }
 
     #[test]
     fn empty_payload_collectives_round_trip() {
-        // Zero-length vectors are valid collective payloads: a node
-        // with nothing to report still participates (the cluster drain
-        // gathers empty record batches from idle nodes).
+        // Zero-length vectors are valid collective payloads: a rank
+        // with nothing to contribute still participates.
         let got = on_ranks(3, |e| {
-            let g = e.gather(0, Vec::new());
+            let g = e.allgather(Vec::new());
             let r = e.reduce(0, ReduceOp::Sum, Vec::new());
             let b = e.broadcast(0, Vec::new());
             (g, r, b)
         });
         let (g, r, b) = got.into_iter().next().unwrap();
-        assert_eq!(g.unwrap(), vec![Vec::<f64>::new(); 3]);
+        assert_eq!(g, vec![Vec::<f64>::new(); 3]);
         assert_eq!(r.unwrap(), Vec::<f64>::new());
         assert_eq!(b, Vec::<f64>::new());
     }
@@ -389,19 +252,15 @@ mod tests {
     fn single_rank_collectives_are_identities() {
         let got = on_ranks(1, |e| {
             let b = e.broadcast(0, vec![1.0]);
-            let g = e.gather(0, vec![2.0]).unwrap();
-            let s = e.scatter(0, Some(vec![vec![3.0]]));
             let r = e.reduce(0, ReduceOp::Sum, vec![4.0]).unwrap();
+            let a = e.allreduce(ReduceOp::Max, vec![2.0]);
             let ag = e.allgather(vec![5.0]);
-            let aa = e.alltoall(vec![vec![6.0]]);
-            (b, g, s, r, ag, aa)
+            (b, r, a, ag)
         });
-        let (b, g, s, r, ag, aa) = got.into_iter().next().unwrap();
+        let (b, r, a, ag) = got.into_iter().next().unwrap();
         assert_eq!(b, vec![1.0]);
-        assert_eq!(g, vec![vec![2.0]]);
-        assert_eq!(s, vec![3.0]);
         assert_eq!(r, vec![4.0]);
+        assert_eq!(a, vec![2.0]);
         assert_eq!(ag, vec![vec![5.0]]);
-        assert_eq!(aa, vec![vec![6.0]]);
     }
 }

@@ -40,17 +40,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Message payload: a boxed row of grid values (plenty for ghost cells;
-/// applications needing other types can bit-pack).
+/// The default message payload: a boxed row of grid values (plenty for
+/// ghost cells, and what the collectives reduce). [`Communicator`] and
+/// [`Endpoint`] are generic over the payload type, so a protocol with
+/// richer messages sends its own typed frames instead
+/// (`Communicator::<Frame>::typed(n)`).
 pub type Payload = Vec<f64>;
 
 /// Key of a mailbox slot: `(source rank, tag)`.
 type Key = (usize, u32);
 
-#[derive(Default)]
-struct Mailbox {
+struct Mailbox<P> {
     /// FIFO per (source, tag): messages with equal key preserve order.
-    slots: Mutex<HashMap<Key, VecDeque<Payload>>>,
+    slots: Mutex<HashMap<Key, VecDeque<P>>>,
     cond: Condvar,
 }
 
@@ -59,9 +61,9 @@ struct BarrierState {
     cond: Condvar,
 }
 
-struct Shared {
+struct Shared<P> {
     n: usize,
-    boxes: Vec<Mailbox>,
+    boxes: Vec<Mailbox<P>>,
     barrier: BarrierState,
     /// Messages sent by each rank, ever (monotone). The wire-traffic
     /// accounting behind [`Endpoint::sent_count`]: batching tiers
@@ -69,23 +71,39 @@ struct Shared {
     sent: Vec<AtomicU64>,
 }
 
-/// A group of `n` ranks that can exchange messages. Clone-free: hand out
-/// [`Endpoint`]s instead.
-pub struct Communicator {
-    shared: Arc<Shared>,
+/// A group of `n` ranks that exchange messages of type `P`. Clone-free:
+/// hand out [`Endpoint`]s instead.
+pub struct Communicator<P = Payload> {
+    shared: Arc<Shared<P>>,
 }
 
 impl Communicator {
-    /// Create a communicator with ranks `0..n`.
+    /// Create a communicator with ranks `0..n` over the default `f64`
+    /// row [`Payload`].
     ///
     /// # Panics
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
+        Self::typed(n)
+    }
+}
+
+impl<P> Communicator<P> {
+    /// Create a communicator with ranks `0..n` whose messages are `P`.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub fn typed(n: usize) -> Self {
         assert!(n > 0, "communicator needs at least one rank");
         Communicator {
             shared: Arc::new(Shared {
                 n,
-                boxes: (0..n).map(|_| Mailbox::default()).collect(),
+                boxes: (0..n)
+                    .map(|_| Mailbox {
+                        slots: Mutex::new(HashMap::new()),
+                        cond: Condvar::new(),
+                    })
+                    .collect(),
                 barrier: BarrierState {
                     arrived: Mutex::new((0, 0)),
                     cond: Condvar::new(),
@@ -104,7 +122,7 @@ impl Communicator {
     ///
     /// # Panics
     /// Panics if `rank >= size`.
-    pub fn endpoint(&self, rank: usize) -> Endpoint {
+    pub fn endpoint(&self, rank: usize) -> Endpoint<P> {
         assert!(rank < self.shared.n, "rank {rank} out of range");
         Endpoint {
             rank,
@@ -114,19 +132,27 @@ impl Communicator {
 
     /// All endpoints, rank order — convenient for spawning one thread per
     /// rank.
-    pub fn endpoints(&self) -> Vec<Endpoint> {
+    pub fn endpoints(&self) -> Vec<Endpoint<P>> {
         (0..self.shared.n).map(|r| self.endpoint(r)).collect()
     }
 }
 
 /// A rank's handle for sending, receiving and synchronising.
-#[derive(Clone)]
-pub struct Endpoint {
+pub struct Endpoint<P = Payload> {
     rank: usize,
-    shared: Arc<Shared>,
+    shared: Arc<Shared<P>>,
 }
 
-impl Endpoint {
+impl<P> Clone for Endpoint<P> {
+    fn clone(&self) -> Self {
+        Endpoint {
+            rank: self.rank,
+            shared: Arc::clone(&self.shared),
+        }
+    }
+}
+
+impl<P> Endpoint<P> {
     /// This endpoint's rank.
     pub fn rank(&self) -> usize {
         self.rank
@@ -142,7 +168,7 @@ impl Endpoint {
     ///
     /// # Panics
     /// Panics if `dst` is out of range.
-    pub fn send(&self, dst: usize, tag: u32, payload: Payload) {
+    pub fn send(&self, dst: usize, tag: u32, payload: P) {
         assert!(dst < self.shared.n, "destination {dst} out of range");
         // relaxed-ok: monotone sent-message statistic; readers only need
         // an eventually-consistent count, delivery order is carried by
@@ -160,14 +186,14 @@ impl Endpoint {
     }
 
     /// Blocking receive of the next message from `src` with `tag`.
-    pub fn recv(&self, src: usize, tag: u32) -> Payload {
+    pub fn recv(&self, src: usize, tag: u32) -> P {
         self.try_recv_for(src, tag, None)
             .expect("unbounded recv cannot time out")
     }
 
     /// Receive with a timeout; `None` on expiry. Used by tests to turn
     /// protocol deadlocks into failures instead of hangs.
-    pub fn recv_timeout(&self, src: usize, tag: u32, timeout: Duration) -> Option<Payload> {
+    pub fn recv_timeout(&self, src: usize, tag: u32, timeout: Duration) -> Option<P> {
         self.try_recv_for(src, tag, Some(timeout))
     }
 
@@ -186,7 +212,7 @@ impl Endpoint {
         tag: u32,
         base: Duration,
         attempts: u32,
-    ) -> Result<(Payload, u32), Duration> {
+    ) -> Result<(P, u32), Duration> {
         let mut waited = Duration::ZERO;
         let mut window = base;
         for attempt in 0..attempts.max(1) {
@@ -200,7 +226,7 @@ impl Endpoint {
     }
 
     /// Non-blocking receive.
-    pub fn try_recv(&self, src: usize, tag: u32) -> Option<Payload> {
+    pub fn try_recv(&self, src: usize, tag: u32) -> Option<P> {
         let mbox = &self.shared.boxes[self.rank];
         let mut slots = mbox.slots.lock();
         Self::take(&mut slots, (src, tag))
@@ -212,7 +238,7 @@ impl Endpoint {
     /// queued. This is the load-report plumbing of the cluster tier —
     /// a dispatcher that routed k jobs since its last look wants one
     /// current outstanding-count per node, not k stale ones.
-    pub fn try_recv_latest(&self, src: usize, tag: u32) -> Option<Payload> {
+    pub fn try_recv_latest(&self, src: usize, tag: u32) -> Option<P> {
         let mbox = &self.shared.boxes[self.rank];
         let mut slots = mbox.slots.lock();
         let q = slots.get_mut(&(src, tag))?;
@@ -221,7 +247,7 @@ impl Endpoint {
         last
     }
 
-    fn try_recv_for(&self, src: usize, tag: u32, timeout: Option<Duration>) -> Option<Payload> {
+    fn try_recv_for(&self, src: usize, tag: u32, timeout: Option<Duration>) -> Option<P> {
         let mbox = &self.shared.boxes[self.rank];
         let mut slots = mbox.slots.lock();
         loop {
@@ -239,7 +265,7 @@ impl Endpoint {
         }
     }
 
-    fn take(slots: &mut HashMap<Key, VecDeque<Payload>>, key: Key) -> Option<Payload> {
+    fn take(slots: &mut HashMap<Key, VecDeque<P>>, key: Key) -> Option<P> {
         let q = slots.get_mut(&key)?;
         let p = q.pop_front();
         if q.is_empty() {
@@ -260,7 +286,7 @@ impl Endpoint {
     /// Combined send + receive with the same partner, the shape of a
     /// ghost-cell exchange. Sends first (sends are non-blocking), so two
     /// neighbours `sendrecv`-ing each other never deadlock.
-    pub fn sendrecv(&self, peer: usize, tag: u32, payload: Payload) -> Payload {
+    pub fn sendrecv(&self, peer: usize, tag: u32, payload: P) -> P {
         self.send(peer, tag, payload);
         // block-ok: both partners send before either receives, so the
         // matching frame is already in flight when this recv parks.
@@ -282,39 +308,6 @@ impl Endpoint {
             while st.1 == gen {
                 b.cond.wait(&mut st);
             }
-        }
-    }
-
-    /// Sum-allreduce of equally sized vectors across all ranks (used by
-    /// the distributed K-means extension). Rank 0 gathers, reduces and
-    /// broadcasts; O(n) messages, fine for intra-process ranks.
-    pub fn allreduce_sum(&self, mut local: Payload) -> Payload {
-        const GATHER: u32 = u32::MAX - 1;
-        const BCAST: u32 = u32::MAX;
-        if self.shared.n == 1 {
-            return local;
-        }
-        if self.rank == 0 {
-            for src in 1..self.shared.n {
-                // block-ok: every non-root rank sends its GATHER part
-                // unconditionally before waiting on BCAST — collective
-                // call discipline bounds this wait.
-                let part = self.recv(src, GATHER);
-                assert_eq!(part.len(), local.len(), "allreduce length mismatch");
-                for (a, b) in local.iter_mut().zip(part) {
-                    *a += b;
-                }
-            }
-            for dst in 1..self.shared.n {
-                self.send(dst, BCAST, local.clone());
-            }
-            local
-        } else {
-            self.send(0, GATHER, local);
-            // block-ok: rank 0 broadcasts to every rank after reducing;
-            // our GATHER part is already sent (sends are non-blocking),
-            // so rank 0 cannot be stuck waiting on us.
-            self.recv(0, BCAST)
         }
     }
 }
@@ -423,7 +416,7 @@ mod tests {
             .map(|e| {
                 thread::spawn(move || {
                     let r = e.rank() as f64;
-                    e.allreduce_sum(vec![r, 1.0])
+                    e.allreduce(ReduceOp::Sum, vec![r, 1.0])
                 })
             })
             .collect();
@@ -436,7 +429,7 @@ mod tests {
     fn single_rank_allreduce_is_identity() {
         let comm = Communicator::new(1);
         let e = comm.endpoint(0);
-        assert_eq!(e.allreduce_sum(vec![3.0]), vec![3.0]);
+        assert_eq!(e.allreduce(ReduceOp::Sum, vec![3.0]), vec![3.0]);
     }
 
     #[test]
@@ -634,6 +627,28 @@ mod tests {
         h.join().unwrap();
         // Zero attempts is clamped to one bounded attempt.
         assert!(a.recv_backoff(1, 0, Duration::from_millis(1), 0).is_err());
+    }
+
+    #[test]
+    fn typed_payloads_keep_every_receive_primitive() {
+        #[derive(Debug, PartialEq)]
+        enum Frame {
+            Load(u32),
+            Note(String),
+        }
+        let comm = Communicator::<Frame>::typed(2);
+        let (a, b) = (comm.endpoint(0), comm.endpoint(1));
+        for load in 0..3 {
+            b.send(0, 1, Frame::Load(load));
+        }
+        b.send(0, 2, Frame::Note("hi".into()));
+        assert_eq!(b.sent_count(), 4);
+        assert_eq!(a.try_recv_latest(1, 1), Some(Frame::Load(2)));
+        assert_eq!(
+            a.recv_backoff(1, 2, Duration::from_millis(1), 2),
+            Ok((Frame::Note("hi".into()), 0))
+        );
+        assert_eq!(a.recv_timeout(1, 1, Duration::from_millis(1)), None);
     }
 
     #[test]

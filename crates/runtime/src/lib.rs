@@ -231,6 +231,8 @@ struct ActiveJob {
     steals: AtomicUsize,
     /// Set when any task body of this job panicked; `wait` re-raises.
     poisoned: AtomicBool,
+    /// The first body panic's payload, which `wait` re-raises.
+    panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     done: Mutex<Option<JobOutcome>>,
     done_cond: Condvar,
 }
@@ -255,8 +257,8 @@ impl JobHandle {
     /// long-lived service that never drains).
     ///
     /// # Panics
-    /// Re-raises if any task body of this job panicked (the worker
-    /// itself survives; the pool stays usable).
+    /// Re-raises the first task-body panic of this job, with its
+    /// payload (the worker itself survives; the pool stays usable).
     pub fn wait(&self) -> JobOutcome {
         let out = {
             let mut g = self.job.done.lock();
@@ -269,7 +271,10 @@ impl JobHandle {
         };
         self.pool.completed.lock().remove(self.job.id);
         if self.job.poisoned.load(Ordering::Acquire) {
-            panic!("task body panicked in {}", self.job.id);
+            match self.job.panic_payload.lock().take() {
+                Some(payload) => std::panic::resume_unwind(payload),
+                None => panic!("task body panicked in {}", self.job.id),
+            }
         }
         out
     }
@@ -421,7 +426,8 @@ impl PoolShared {
         // relaxed-ok: per-core busy-time statistic; read only after the
         // job completes (completion carries the release/acquire edge).
         asm.job.core_busy_ns[core].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        if outcome.is_err() {
+        if let Err(payload) = outcome {
+            asm.job.panic_payload.lock().get_or_insert(payload);
             asm.job.poisoned.store(true, Ordering::Release);
         } else if CoreId(core) == asm.place.leader {
             // Step 8: the leader trains the PTT with its observed time.
@@ -874,6 +880,7 @@ impl Runtime {
                 .collect(),
             steals: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
+            panic_payload: Mutex::new(None),
             done: Mutex::new(None),
             done_cond: Condvar::new(),
             graph: spec.graph,
@@ -1608,11 +1615,10 @@ mod tests {
         assert_eq!(probe.queueing.count(), 4);
         assert!(probe.busy > 0.0 || probe.capacity >= 0.0);
         assert!(probe.ptt_residual >= 0.0);
-        // The probe is a read, not a take: a second read is identical.
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        runtime.metrics_probe().unwrap().push_values(&mut a);
-        probe.push_values(&mut b);
-        assert_eq!(a, b);
+        // The probe is a read, not a take: a second read is identical
+        // (Debug prints every f64 in its shortest round-trip form).
+        let again = runtime.metrics_probe().unwrap();
+        assert_eq!(format!("{again:?}"), format!("{probe:?}"));
     }
 
     #[test]

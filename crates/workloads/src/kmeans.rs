@@ -370,7 +370,7 @@ pub fn run_distributed(
                         // Encode [sums..., counts...] for the allreduce.
                         let mut payload = sums;
                         payload.extend(counts.iter().map(|&c| c as f64));
-                        let combined = ep.allreduce_sum(payload);
+                        let combined = ep.allreduce(das_msg::ReduceOp::Sum, payload);
                         let (gs, gc) = combined.split_at(k * dim);
                         let counts: Vec<usize> = gc.iter().map(|&c| c as usize).collect();
                         cents = global_finish(gs, &counts, &cents, k, dim);

@@ -6,7 +6,7 @@
 //! * a clean 4-node cluster (the baseline),
 //! * the same cluster with a `FaultSchedule` that kills node 3 at its
 //!   second admitted job — the dispatcher detects the death through the
-//!   typed `ERR_NODE_FAILED` frame, requeues the stranded work onto the
+//!   agent's death frame, requeues the stranded work onto the
 //!   survivors, and the full stream still completes,
 //! * a 2-node cluster scaled to 3 and back down mid-stream — the
 //!   leaving node's queue drains onto its peers before the agent shuts

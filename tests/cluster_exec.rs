@@ -51,7 +51,7 @@ fn one_node_sim_cluster_is_bit_identical_to_a_bare_simulator_session() {
     let cluster_report = cluster.run_stream(jobs).expect("cluster stream");
 
     // Per-job records and stream aggregates: bit for bit, including
-    // every timestamp (the wire format is f64 end to end).
+    // every timestamp (records cross the link as typed values).
     assert_eq!(cluster_report.jobs, bare_report.jobs);
     // The cross-backend counters survive the merge unchanged; the
     // cluster adds only its own attribution values on top.

@@ -38,12 +38,12 @@ fn base_session(seed: u64) -> SessionBuilder {
     SessionBuilder::new(Arc::new(Topology::tx2()), Policy::DamC).seed(seed)
 }
 
-/// Flatten a probe to its full numeric image (counters, gauges and
-/// every sketch bin) so assertions compare exact f64 bit patterns.
-fn probe_values(p: &ExecProbe) -> Vec<f64> {
-    let mut v = Vec::new();
-    p.push_values(&mut v);
-    v
+/// Render a probe's full numeric image (counters, gauges and every
+/// sketch bin). Debug prints each f64 in its shortest round-trip form,
+/// so equal strings mean bit-identical values (`-0.0` and `0.0` still
+/// differ).
+fn probe_values(p: &ExecProbe) -> String {
+    format!("{p:?}")
 }
 
 #[test]
@@ -180,12 +180,7 @@ fn sketch_merge_is_order_insensitive_to_exact_f64_equality() {
         t
     };
     let reference = fold(&[0, 1, 2, 3]);
-    let sketch_bins = |p: &ExecProbe| -> Vec<f64> {
-        let mut v = Vec::new();
-        p.sojourn.push_values(&mut v);
-        p.queueing.push_values(&mut v);
-        v
-    };
+    let sketch_bins = |p: &ExecProbe| format!("{:?} {:?}", p.sojourn, p.queueing);
     for order in [[3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2], [0, 2, 1, 3]] {
         let shuffled = fold(&order);
         // The sketches merge by exact bin-wise u64 addition, so every
