@@ -29,9 +29,11 @@
 //!   Poisson stream with per-node admission bounds and `LoadShed`
 //!   routing — the backpressure quality-of-service trajectory;
 //! * **failover recovery ms** — the worst single-submission stall when
-//!   1 of 4 cluster nodes dies at ~50% of the stream (death detection,
-//!   requeue of the stranded jobs, re-placement on the survivors),
-//!   plus the throughput dip of the faulty run against the clean one —
+//!   1 of 4 cluster nodes dies at ~50% of the stream (admission is
+//!   one-way, so the drain detects the death, requeues the stranded
+//!   jobs and re-places them on the survivors — work the faulty run's
+//!   throughput carries), plus the throughput dip of the faulty run
+//!   against the clean one —
 //!   the failure-domain trajectory: the series moves when recovery
 //!   work gets slower, while correctness (every job completes) is
 //!   asserted inline;
@@ -278,10 +280,11 @@ fn overload_sojourn_p99(scale: usize) -> (usize, usize, usize, f64) {
 
 /// One of four nodes dies at the midpoint of the stream. Three numbers
 /// come out: the clean run's throughput, the faulty run's throughput,
-/// and the worst single-submission stall of the faulty run — the
-/// submission that absorbs the death pays for detection (the agent's
-/// death frame), the stranded-job requeue and its own
-/// re-placement, all inside one `submit` call. Correctness is asserted
+/// and the worst single-submission stall of the faulty run. Admission
+/// is one-way, so no `submit` waits on the dead node: the drain reads
+/// its death frame, requeues the stranded jobs and drains the
+/// survivors again, and that cost lands in the faulty run's
+/// throughput. Correctness is asserted
 /// inline (every job completes on the survivors, the requeue is
 /// counted); the series exists to keep that recovery path *fast*.
 fn failover_recovery(scale: usize) -> (usize, f64, f64, f64, f64) {

@@ -29,12 +29,18 @@
 //! planes apart:
 //!
 //! * **control** — one command frame per submit/wait/drain/shutdown
-//!   (one per node for a batch), answered by one reply frame;
-//! * **load** — before every admission, wait or drain reply a node
-//!   pushes its outstanding-job count; the dispatcher collapses the
-//!   backlog with [`das_msg::Endpoint::try_recv_latest`] and routes by
-//!   [`RoutePolicy`] (round-robin, least-outstanding, or seeded
-//!   power-of-two-choices) over that view, skipping dead nodes;
+//!   (one per touched node for a batch). Admission is one-way: `submit`
+//!   routes, validates ([`Validate`]), sends and returns the ticket
+//!   without waiting, and the node answers an admission only to refuse
+//!   it. Every other command is answered by one reply frame;
+//! * **load** — the dispatcher routes by [`RoutePolicy`] (round-robin,
+//!   least-outstanding, seeded power-of-two-choices, load-shed) over
+//!   its own load view, skipping dead nodes: per node, the last
+//!   outstanding-job count read with one of the node's replies, plus
+//!   every job routed there since. A node takes a report at every
+//!   admission, wait and drain, and delivers the newest just ahead of
+//!   its next reply; the dispatcher reads it right after that reply
+//!   with [`das_msg::Endpoint::try_recv_latest`];
 //! * **metrics** — when the sessions enable it, a node snapshot rides
 //!   just ahead of the load report, under the same fault decision;
 //! * **stats** — `drain` sends every live node one command and reads
@@ -46,26 +52,31 @@
 //! and bounded exponential backoff ([`das_msg::Endpoint::recv_backoff`])
 //! and surfaces a typed [`ExecError::Timeout`] instead of hanging. A
 //! node-agent panic is caught at the thread boundary; the wrapper
-//! publishes a down flag and sends a death frame as its last frame, so
-//! the blocked dispatcher learns of the death *deterministically* — as
-//! a frame, not a timeout race — and turns it into
-//! [`ExecError::NodeFailed`] for the link it arrived on.
+//! publishes a down flag and sends a death frame as its last frame.
+//! Admission is one-way, so the death is discovered at the next
+//! `wait`, drain, [`Cluster::drain_summary`], [`Cluster::remove_node`]
+//! or [`Cluster::collect_trace`] that reads the node's link: the death
+//! frame arrives in place of the reply, and becomes
+//! [`ExecError::NodeFailed`] for that link. No link is read at any
+//! other moment, so the discovery point is *deterministic* — a frame,
+//! not a timeout race.
 //!
-//! On a detected death the dispatcher repairs the cluster from its
-//! **spec ledger** (enabled by [`Cluster::enable_recovery`]; on by
-//! default for [`ClusterBuilder::build_sim`] /
-//! [`ClusterBuilder::build_runtime`]): jobs the dead node had admitted
-//! but never started are requeued onto survivors through the normal
-//! routing policy (`jobs_requeued`), started-but-unfinished jobs are
-//! re-submitted **at most once** (`retries`), and jobs whose retry
-//! budget is spent redeem as [`ExecError::NodeFailed`] (`jobs_lost`).
-//! The failure itself is attributed in the merged extras as
-//! `node{i}.failed`.
+//! There the dispatcher repairs the cluster from its **spec ledger**
+//! (enabled by [`Cluster::enable_recovery`]; on by default for
+//! [`ClusterBuilder::build_sim`] / [`ClusterBuilder::build_runtime`]):
+//! jobs the dead node never began are requeued onto survivors through
+//! the normal routing policy (`jobs_requeued`), jobs a `wait` or drain
+//! had started are re-submitted **at most once** (`retries`), and jobs
+//! whose retry budget is spent redeem as [`ExecError::NodeFailed`]
+//! (`jobs_lost`). Every sync point repairs after its whole round of
+//! replies is read, then drains (or pulls) the survivors again, so the
+//! requeued jobs are covered by the same call. The failure itself is
+//! attributed in the merged extras as `node{i}.failed`.
 //!
 //! Deterministic **fault injection** drives all of this in tests: a
 //! seeded [`das_core::FaultSchedule`] on the base session plants
 //! logical triggers (die at the k-th admitted job, drop or delay load
-//! reports, withhold acks, inflate reported load) that the node agents
+//! reports, withhold replies, inflate reported load) that the node agents
 //! consult at fixed points — no wall-clock, so a faulty run is exactly
 //! as bit-reproducible as a healthy one.
 //!
@@ -81,16 +92,19 @@
 //! ## Tickets and ids
 //!
 //! The cluster issues its own dense [`JobId`]s and stamps tickets with
-//! its own session tag; the route table maps each cluster job to
-//! `(node, node-local id)`. Node-local tickets — stamped with the node
-//! executor's *own* session tag — never leave their node agent, so a
-//! forged or stale cluster ticket can never redeem a node job directly.
+//! its own session tag; the route table maps each cluster job to its
+//! node, and the admission frame carries the cluster id. The node agent
+//! keys its node-local tickets — stamped with the node executor's *own*
+//! session tag — and its drained records by cluster id. Node-local
+//! tickets never leave their agent, so a forged or stale cluster ticket
+//! can never redeem a node job directly.
 //!
 //! ## Determinism
 //!
 //! Routing is a pure function of the route seed and the load view, and
-//! the load view is updated synchronously (a node reports *before* it
-//! acknowledges), so the job→node assignment is reproducible; each
+//! the load view changes only by the jobs the dispatcher routes and the
+//! reports it reads right after a reply — at points it chose — so the
+//! job→node assignment is reproducible; each
 //! `das-sim` node is bit-reproducible given its session seed; therefore
 //! an all-sim cluster is **bit-reproducible end to end** — with or
 //! without scheduled faults — and a 1-node sim cluster is bit-identical
@@ -139,8 +153,8 @@
 //!     let dag = generators::chain(TaskTypeId(0), 4);
 //!     cluster.submit(JobSpec::new(dag).at(j as f64 * 1e-3)).unwrap();
 //! }
-//! // Node 1 dies at its third admission; the full stream still
-//! // completes on the survivors.
+//! // Node 1 dies at its third admission; the drain discovers the death
+//! // and the full stream still completes on the survivors.
 //! let stats = cluster.drain().unwrap();
 //! assert_eq!(stats.jobs.len(), 9);
 //! let extras = cluster.take_extras();
@@ -152,7 +166,7 @@ mod wire;
 
 pub use route::RoutePolicy;
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -160,8 +174,10 @@ use std::time::Duration;
 
 use das_core::exec::{session_tag, ExecError, ExecExtras, Executor, SessionBuilder, Ticket};
 use das_core::fault::{FaultKind, FaultPlane};
-use das_core::jobs::{JobId, JobSpec, JobStats, StreamStats};
-use das_core::metrics::{ExecProbe, MetricKind, MetricsConfig, MetricsReport, NodeSnapshot};
+use das_core::jobs::{JobId, JobSpec, JobStats, StreamStats, Validate};
+use das_core::metrics::{
+    ExecProbe, MetricKind, MetricsConfig, MetricsReport, NodeSnapshot, TraceSpan,
+};
 use das_dag::Dag;
 use das_msg::{Communicator, Endpoint};
 use das_runtime::{Runtime, TaskGraph};
@@ -170,7 +186,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use wire::{
-    post, Ack, Command, Frame, Reply, Summary, DISPATCHER, NODE, T_ACK, T_CTRL, T_LOAD, T_METRICS,
+    on_link, post, Ack, Command, Frame, Reply, Summary, DISPATCHER, NODE, T_ACK, T_CTRL, T_LOAD,
+    T_METRICS,
 };
 
 /// Human-readable label of a scheduled fault, used by failover tooling
@@ -308,7 +325,9 @@ impl ClusterBuilder {
     /// A cluster over any executor backend: `factory(i, &session)`
     /// builds node `i`. All nodes must share one graph type — mixing
     /// backends with different graph representations cannot present a
-    /// single `Executor<Graph = G>` front. The factory is retained so
+    /// single `Executor<Graph = G>` front — and the cluster is an
+    /// [`Executor`] when that type is [`Validate`] (the dispatcher
+    /// checks each job before it sends it). The factory is retained so
     /// [`Cluster::add_node`] can spawn later members; recovery is *not*
     /// enabled here (the graph type may not be `Clone`) — call
     /// [`Cluster::enable_recovery`] if it is.
@@ -351,7 +370,6 @@ impl ClusterBuilder {
             node_metrics: vec![None; n],
             limits,
             route: HashMap::new(),
-            retained: HashMap::new(),
             lost: HashMap::new(),
             cloner: None,
             banked_jobs: Vec::new(),
@@ -381,21 +399,18 @@ struct NodeSlot<G> {
     agent: Option<JoinHandle<()>>,
 }
 
-/// Where a cluster job went, and whether any node-side execution has
-/// been triggered for it (a `wait` or `drain` reaching its node starts
-/// the node's whole pending batch) — the bit that decides requeue
-/// (exactly-once so far) versus retry (at-most-once re-submission).
-#[derive(Clone, Copy, Debug)]
-struct NodeRoute {
+/// Where a cluster job went, and what recovery needs to know about it:
+/// whether any node-side execution has been triggered for it (a `wait`
+/// or `drain` reaching its node starts the node's whole pending batch)
+/// — the bit that decides requeue (exactly-once so far) versus retry
+/// (at-most-once re-submission) — and the ledger copy a re-submission
+/// sends.
+struct Placement<G> {
     node: usize,
-    local: u64,
     started: bool,
-}
-
-/// Ledger entry for one in-flight job: the spec copy recovery would
-/// re-submit, and whether its single retry has been spent.
-struct Retained<G> {
-    spec: JobSpec<G>,
+    /// The spec copy recovery re-submits; `None` while recovery is off.
+    spec: Option<JobSpec<G>>,
+    /// Whether the job's single retry has been spent.
     retried: bool,
 }
 
@@ -411,33 +426,31 @@ type SpecCloner<G> = fn(&JobSpec<G>) -> JobSpec<G>;
 pub struct Cluster<G> {
     nodes: Vec<NodeSlot<G>>,
     /// Liveness per slot. Dead and removed nodes keep their slot (and
-    /// index) but are skipped by routing, load refresh and drain.
+    /// index) but are skipped by routing and drain.
     alive: Vec<bool>,
     spawner: Spawner<G>,
     policy: RoutePolicy,
     rng: SmallRng,
     rr: usize,
-    /// Last load report per node (outstanding jobs), fed exclusively by
-    /// `T_LOAD` messages; pinned to 0 for dead nodes.
+    /// The dispatcher's load view: per node, the last outstanding-job
+    /// report read with one of its replies, plus every job routed there
+    /// since; pinned to 0 for dead nodes.
     loads: Vec<f64>,
-    /// Latest metrics snapshot per node, fed exclusively by `T_METRICS`
-    /// frames (keep-latest, like the loads); cleared for dead nodes.
-    /// All `None` unless the node sessions enabled
+    /// Latest metrics snapshot per node, read with its replies
+    /// (keep-latest, like the loads); cleared for dead nodes. All
+    /// `None` unless the node sessions enabled
     /// [`SessionBuilder::metrics`].
     node_metrics: Vec<Option<NodeSnapshot>>,
     /// Per-node admission bound (`f64::INFINITY` when unbounded),
     /// from each node session's `max_outstanding`.
     limits: Vec<f64>,
-    /// Cluster job id → node placement, for every submitted job not yet
+    /// Cluster job id → placement, for every submitted job not yet
     /// waited or drained.
-    route: HashMap<u64, NodeRoute>,
-    /// Spec ledger: cluster job id → re-submittable copy, populated
-    /// while recovery is enabled.
-    retained: HashMap<u64, Retained<G>>,
-    /// Jobs a node took down with it (no spec copy, or retry budget
-    /// spent): cluster job id → the node that failed. Their tickets
-    /// redeem as [`ExecError::NodeFailed`].
-    lost: HashMap<u64, usize>,
+    route: HashMap<u64, Placement<G>>,
+    /// Jobs that will never complete — a node took them down (no spec
+    /// copy, or retry budget spent) or refused them: cluster job id →
+    /// the typed error their tickets redeem as.
+    lost: HashMap<u64, ExecError>,
     /// Monomorphic spec copier — `Some` once [`Cluster::enable_recovery`]
     /// ran.
     cloner: Option<SpecCloner<G>>,
@@ -478,12 +491,15 @@ impl<G> Cluster<G> {
         self.nodes.len()
     }
 
-    /// Number of live nodes.
+    /// Number of live nodes, as far as the dispatcher knows: a death
+    /// is discovered at the next `wait`, drain, [`Cluster::remove_node`]
+    /// or [`Cluster::collect_trace`] that reads the dead node's link.
     pub fn live_nodes(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
     }
 
-    /// Is node `node` live (spawned, not failed, not removed)?
+    /// Is node `node` live (spawned, not known to have failed, not
+    /// removed)?
     pub fn is_alive(&self, node: usize) -> bool {
         self.alive.get(node).copied().unwrap_or(false)
     }
@@ -503,7 +519,7 @@ impl<G> Cluster<G> {
     /// tickets of other executors or jobs already waited/drained.
     pub fn node_of(&self, ticket: &Ticket) -> Option<usize> {
         (ticket.session() == self.exec_session)
-            .then(|| self.route.get(&ticket.job().0).map(|r| r.node))
+            .then(|| self.route.get(&ticket.job().0).map(|p| p.node))
             .flatten()
     }
 
@@ -544,65 +560,23 @@ impl<G> Cluster<G> {
         self.alive[node] = false;
         // 1. Move the pending queue onto peers. Only never-started
         //    ledger-backed jobs move (a started batch is already
-        //    executing node-side); their node-local records are
-        //    discarded below — the peer's execution is the one that
-        //    counts.
-        let mut discard: HashSet<u64> = HashSet::new();
-        if self.cloner.is_some() {
-            let mut pending: Vec<u64> = self
-                .route
-                // det-ok: ids are collected into a Vec and sorted
-                // before any routing decision is made from them.
-                .iter()
-                .filter(|(id, r)| r.node == node && !r.started && self.retained.contains_key(*id))
-                .map(|(&id, _)| id)
-                .collect();
-            pending.sort_unstable();
-            for id in pending {
-                let r = self.route.remove(&id).expect("pending id is routed");
-                let keep = self.retained.remove(&id).expect("pending id is retained");
-                let cloner = self.cloner.expect("a retained spec implies a cloner");
-                match self.place_anywhere(cloner(&keep.spec)) {
-                    Ok((new_node, local)) => {
-                        discard.insert(r.local);
-                        self.route.insert(
-                            id,
-                            NodeRoute {
-                                node: new_node,
-                                local,
-                                started: false,
-                            },
-                        );
-                        self.retained.insert(id, keep);
-                        self.exec_extras.bump("jobs_requeued", 1.0);
-                    }
-                    Err(_) => {
-                        // No peer can take it: leave it on the leaving
-                        // node, whose drain below executes it locally.
-                        self.route.insert(id, r);
-                        self.retained.insert(id, keep);
-                    }
-                }
+        //    executing node-side); the leaving node still runs its
+        //    copies, whose records `fold_node_records` discards — the
+        //    peer's execution is the one that counts. A job no peer can
+        //    take stays, and the drain below executes it here.
+        for id in self.ids_on(node, |p| !p.started && p.spec.is_some()) {
+            if self.replace(id).is_ok() {
+                self.exec_extras.bump("jobs_requeued", 1.0);
             }
         }
-        // 2. Drain the leaving node and bank its records (minus the
-        //    moved jobs' speculative executions) for the next cluster
-        //    drain.
-        self.mark_started(node);
-        self.command(node, Command::Drain);
-        match self.rpc_recv(node) {
+        // 2. Drain the leaving node and bank its records for the next
+        //    cluster drain.
+        match self.call(node, Command::Drain) {
             Ok(Ack::Drained(stats, extras)) => {
-                let mut recs_out = Vec::new();
+                let mut jobs = std::mem::take(&mut self.banked_jobs);
                 let mut merged = std::mem::take(&mut self.banked_extras);
-                self.fold_node_records(
-                    node,
-                    stats.jobs,
-                    extras,
-                    &discard,
-                    &mut recs_out,
-                    &mut merged,
-                );
-                self.banked_jobs.append(&mut recs_out);
+                self.fold_node_records(node, stats.jobs, extras, &mut jobs, &mut merged);
+                self.banked_jobs = jobs;
                 self.banked_extras = merged;
             }
             Err(ExecError::NodeFailed { .. }) => {
@@ -621,7 +595,7 @@ impl<G> Cluster<G> {
                 // failed drain on the bare backend; still shut it down.
                 self.exec_extras
                     .bump("jobs_orphaned", self.jobs_on(node) as f64);
-                self.forget_routes_on(node);
+                self.route.retain(|_, p| p.node != node);
             }
         }
         // 3. Shut the agent down and join it.
@@ -638,61 +612,33 @@ impl<G> Cluster<G> {
     /// Route entries currently pointing at `node`.
     fn jobs_on(&self, node: usize) -> usize {
         // det-ok: counting is order-insensitive.
-        self.route.values().filter(|r| r.node == node).count()
+        self.route.values().filter(|p| p.node == node).count()
     }
 
-    /// Drop every route/ledger entry pointing at `node` (their tickets
-    /// redeem as `UnknownTicket` from here on).
-    fn forget_routes_on(&mut self, node: usize) {
-        let ids: Vec<u64> = self
+    /// Ids of the jobs routed to `node` that satisfy `pred`, ascending —
+    /// the order every recovery decision is made in.
+    fn ids_on(&self, node: usize, pred: impl Fn(&Placement<G>) -> bool) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
             .route
-            // det-ok: ids are collected into a Vec; the per-id removals
-            // below are order-insensitive.
+            // det-ok: ids are collected into a Vec and sorted before
+            // any routing decision is made from them.
             .iter()
-            .filter(|(_, r)| r.node == node)
+            .filter(|(_, p)| p.node == node && pred(p))
             .map(|(&id, _)| id)
             .collect();
-        for id in ids {
-            self.route.remove(&id);
-            self.retained.remove(&id);
-        }
-    }
-
-    /// Fold every pending load report into the routing view (newest
-    /// report per node wins; dead nodes stay pinned at 0).
-    fn refresh_loads(&mut self) {
-        for (i, load) in self.loads.iter_mut().enumerate() {
-            if !self.alive[i] {
-                continue;
-            }
-            if let Some(Frame::Load(v)) = self.nodes[i].ep.try_recv_latest(NODE, T_LOAD) {
-                *load = v;
-            }
-        }
-    }
-
-    /// Fold every pending `T_METRICS` frame into the per-node snapshot
-    /// view (newest frame per node wins, exactly like the loads).
-    fn refresh_metrics(&mut self) {
-        for (i, slot) in self.node_metrics.iter_mut().enumerate() {
-            if !self.alive[i] {
-                continue;
-            }
-            if let Some(Frame::Snapshot(snap)) = self.nodes[i].ep.try_recv_latest(NODE, T_METRICS) {
-                *slot = Some(snap);
-            }
-        }
+        ids.sort_unstable();
+        ids
     }
 
     /// The cluster-wide observability view: the latest metrics snapshot
-    /// of every live node that has pushed one, in node-index order.
+    /// of every live node that has delivered one, in node-index order.
     /// Empty unless the node sessions enabled
-    /// [`SessionBuilder::metrics`]. Non-blocking — this only folds in
-    /// frames already on the links; snapshots arrive on logical
-    /// triggers (every `snapshot_every` admitted jobs, and at every
-    /// drain).
-    pub fn metrics_report(&mut self) -> MetricsReport {
-        self.refresh_metrics();
+    /// [`SessionBuilder::metrics`]. Reads no link: a node's snapshots
+    /// are taken on logical triggers (every `snapshot_every` admitted
+    /// jobs, and at every drain) and delivered with its next reply, so
+    /// this view is as of the last `wait`, drain or trace pull that
+    /// reached each node.
+    pub fn metrics_report(&self) -> MetricsReport {
         MetricsReport {
             nodes: self
                 .node_metrics
@@ -707,7 +653,7 @@ impl<G> Cluster<G> {
 
     /// Write the cluster totals of the merged [`MetricsReport`] into
     /// the extras map, one `metrics.<kind>` value per [`MetricKind`].
-    /// No-op while no node has pushed a snapshot, so the metrics-off
+    /// No-op while no node has delivered a snapshot, so the metrics-off
     /// extras surface is byte-identical to the pre-observability one.
     fn flatten_metrics(&mut self) {
         let report = self.metrics_report();
@@ -733,10 +679,10 @@ impl<G> Cluster<G> {
     ///
     /// Requires metrics-enabled node sessions; a node that never
     /// enabled metrics answers with an all-zero sketch snapshot, which
-    /// merges harmlessly. On a node death or error the summary fails
-    /// with the typed error after the failure plane repairs the cluster
-    /// — use [`Executor::drain`] when per-job records (or mid-drain
-    /// recovery) are required.
+    /// merges harmlessly. A node death is repaired like in
+    /// [`Executor::drain`]: after the round, with the survivors drained
+    /// again, so the summary still covers every job. On a node error
+    /// the summary fails with the typed error.
     pub fn drain_summary(&mut self) -> Result<DrainSummary, ExecError> {
         let mut jobs = 0u64;
         let mut tasks = 0u64;
@@ -746,7 +692,6 @@ impl<G> Cluster<G> {
         // merged records of a full drain.
         let mut t0 = f64::INFINITY;
         let mut t1 = 0.0f64;
-        let mut nodes = Vec::new();
         let mut merged = std::mem::take(&mut self.banked_extras);
         for rec in std::mem::take(&mut self.banked_jobs) {
             jobs += 1;
@@ -754,14 +699,10 @@ impl<G> Cluster<G> {
             t0 = t0.min(rec.arrival);
             t1 = t1.max(rec.completed);
         }
-        let targets: Vec<usize> = (0..self.nodes.len()).filter(|&i| self.alive[i]).collect();
-        for &node in &targets {
-            self.mark_started(node);
-            self.command(node, Command::DrainSummary);
-        }
         let mut first_err: Option<ExecError> = None;
-        for &node in &targets {
-            match self.rpc_recv(node) {
+        self.rounds(
+            || Command::DrainSummary,
+            |this, node, reply| match reply {
                 Ok(Ack::Summary(s)) => {
                     jobs += s.jobs;
                     tasks += s.tasks;
@@ -770,23 +711,17 @@ impl<G> Cluster<G> {
                     merged.bump(&format!("node{node}.jobs"), s.jobs as f64);
                     attribute_extras(node, &s.extras, &mut merged);
                     merged.absorb(s.extras);
-                    self.node_metrics[node] = Some(s.snapshot.clone());
-                    nodes.push(s.snapshot);
+                    this.node_metrics[node] = Some(s.snapshot);
                 }
                 Ok(_) => {
                     first_err.get_or_insert(out_of_step(node));
                 }
                 Err(e) => {
-                    if matches!(e, ExecError::NodeFailed { .. }) {
-                        self.handle_node_down(node);
-                    }
                     first_err.get_or_insert(e);
                 }
-            }
-        }
-        self.refresh_loads();
+            },
+        );
         self.route.clear();
-        self.retained.clear();
         if let Some(e) = first_err {
             return Err(e);
         }
@@ -797,7 +732,7 @@ impl<G> Cluster<G> {
             jobs,
             tasks,
             span: if jobs == 0 { 0.0 } else { t1 - t0 },
-            report: MetricsReport { nodes },
+            report: self.metrics_report(),
         })
     }
 
@@ -806,25 +741,43 @@ impl<G> Cluster<G> {
     /// tid = core**). Draining: each node's span buffer empties. Spans
     /// only accumulate when the node sessions enabled
     /// [`das_core::MetricsConfig::with_trace`]; nodes without spans
-    /// contribute empty process groups.
+    /// contribute empty process groups. A node death is repaired like
+    /// in [`Executor::drain`], after the round; the dead node's spans
+    /// are lost with it.
     pub fn collect_trace(&mut self) -> Result<ClusterTrace, ExecError> {
-        let targets: Vec<usize> = (0..self.nodes.len()).filter(|&i| self.alive[i]).collect();
-        let mut per_node = Vec::with_capacity(targets.len());
-        for &node in &targets {
-            self.command(node, Command::PullTrace);
-            let Ack::Trace(spans) = self.rpc_recv(node)? else {
-                return Err(out_of_step(node));
-            };
-            // The node's core count is not on the wire; the span
-            // extent (executing cores and assembly widths) bounds the
-            // rows any renderer needs.
-            let cores = spans
-                .iter()
-                .map(|s| s.core.max(s.leader + s.width.saturating_sub(1)) + 1)
-                .max()
-                .unwrap_or(0);
-            per_node.push((node, cores, spans));
+        let mut spans: Vec<Vec<TraceSpan>> = (0..self.nodes.len()).map(|_| Vec::new()).collect();
+        let mut first_err: Option<ExecError> = None;
+        self.rounds(
+            || Command::PullTrace,
+            |_, node, reply| match reply {
+                Ok(Ack::Trace(s)) => spans[node].extend(s),
+                Ok(_) => {
+                    first_err.get_or_insert(out_of_step(node));
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            },
+        );
+        if let Some(e) = first_err {
+            return Err(e);
         }
+        let per_node: Vec<_> = spans
+            .into_iter()
+            .enumerate()
+            .filter(|&(node, _)| self.alive[node])
+            .map(|(node, spans)| {
+                // The node's core count is not on the wire; the span
+                // extent (executing cores and assembly widths) bounds
+                // the rows any renderer needs.
+                let cores = spans
+                    .iter()
+                    .map(|s| s.core.max(s.leader + s.width.saturating_sub(1)) + 1)
+                    .max()
+                    .unwrap_or(0);
+                (node, cores, spans)
+            })
+            .collect();
         Ok(ClusterTrace::from_node_spans(&per_node))
     }
 
@@ -839,11 +792,11 @@ impl<G> Cluster<G> {
     }
 
     /// The typed overload error for a shed decision, attributing the
-    /// pressure to the full node(s): their reported outstanding counts
-    /// and bounds, summed. For a full single pick these are that node's
-    /// numbers; when every node is full (`LoadShed`) it is the
-    /// cluster-wide pressure. Only live full nodes enter the sums, so
-    /// the casts are finite.
+    /// pressure to the full node(s): their outstanding counts in the
+    /// load view and their bounds, summed. For a full single pick these
+    /// are that node's numbers; when every node is full (`LoadShed`) it
+    /// is the cluster-wide pressure. Only live full nodes enter the
+    /// sums, so the casts are finite.
     fn overloaded(&self) -> ExecError {
         let (outstanding, limit) = self
             .loads
@@ -857,14 +810,25 @@ impl<G> Cluster<G> {
         ExecError::Overloaded { outstanding, limit }
     }
 
-    /// The routing error when no node can take a job: every node dead,
-    /// or every live node full.
-    fn no_pick_error(&self) -> ExecError {
-        if self.live_nodes() == 0 {
-            ExecError::Failed("every node is down".into())
-        } else {
-            self.overloaded()
-        }
+    /// One routing decision over the load view: the picked node, or the
+    /// error when none can take a job — every node dead, or every live
+    /// node full.
+    fn pick(&mut self) -> Result<usize, ExecError> {
+        route::pick(
+            self.policy,
+            &self.loads,
+            &self.limits,
+            &self.alive,
+            &mut self.rr,
+            &mut self.rng,
+        )
+        .ok_or_else(|| {
+            if self.live_nodes() == 0 {
+                ExecError::Failed("every node is down".into())
+            } else {
+                self.overloaded()
+            }
+        })
     }
 
     /// Send one command frame to `node`.
@@ -872,47 +836,142 @@ impl<G> Cluster<G> {
         post(&self.nodes[node].ep, NODE, Frame::Command(cmd));
     }
 
+    /// Send `cmd` to `node` and await its reply ([`Cluster::reply`]).
+    fn call(&mut self, node: usize, cmd: Command<G>) -> Result<Ack, ExecError> {
+        let executes = cmd.executes();
+        self.command(node, cmd);
+        self.reply(node, executes)
+    }
+
+    /// Await the reply to the command just sent to `node`. Unless a
+    /// death frame arrives in its place, the command reached a live
+    /// agent; if it `executes`, the node ran its whole pending batch,
+    /// so everything routed there counts as started from here on — the
+    /// recovery plane's at-most-once boundary. A death frame means the
+    /// agent died before the command, at an admission (the only place
+    /// a scheduled kill fires; an executor panic inside a command comes
+    /// back as a typed error), so nothing routed there since its last
+    /// reply has begun.
+    fn reply(&mut self, node: usize, executes: bool) -> Result<Ack, ExecError> {
+        let reply = self.rpc_recv(node);
+        if executes && !matches!(reply, Err(ExecError::NodeFailed { .. })) {
+            // det-ok: order-insensitive flag set; every matching entry
+            // gets the same value regardless of visit order.
+            for p in self.route.values_mut() {
+                if p.node == node {
+                    p.started = true;
+                }
+            }
+        }
+        reply
+    }
+
     /// Receive one reply from `node` under the bounded-backoff
-    /// deadline, attributed to its link ([`Reply::on_link`]). A missing
-    /// frame becomes [`ExecError::NodeFailed`] if the agent's down flag
-    /// is up (the frame race lost), else a typed
-    /// [`ExecError::Timeout`] — never a hang.
-    fn rpc_recv(&self, node: usize) -> Result<Ack, ExecError> {
-        match self.nodes[node]
-            .ep
-            .recv_backoff(NODE, T_ACK, self.rpc_base, self.rpc_attempts)
-        {
-            Ok((Frame::Reply(reply), _)) => reply.on_link(node),
-            Ok(_) => unreachable!("only replies travel on T_ACK"),
-            Err(waited) => {
-                if self.nodes[node].down.load(Ordering::Acquire) {
-                    Err(ExecError::NodeFailed { node })
-                } else {
-                    Err(ExecError::Timeout {
-                        waited_ms: waited.as_millis() as u64,
+    /// deadline, attributed to its link ([`Reply::on_link`]). Refusals
+    /// queued ahead of it are settled on the way
+    /// ([`Cluster::refuse`]), and the load report and snapshot that
+    /// ride with the reply are read right after it — the only point at
+    /// which the dispatcher reads them, which is what keeps the load
+    /// view deterministic. A missing frame becomes
+    /// [`ExecError::NodeFailed`] if the agent's down flag is up (the
+    /// frame race lost), else a typed [`ExecError::Timeout`] — never a
+    /// hang.
+    fn rpc_recv(&mut self, node: usize) -> Result<Ack, ExecError> {
+        loop {
+            let frame =
+                self.nodes[node]
+                    .ep
+                    .recv_backoff(NODE, T_ACK, self.rpc_base, self.rpc_attempts);
+            match frame {
+                Ok((Frame::Refused(ids, e), _)) => self.refuse(node, ids, e),
+                Ok((Frame::Reply(reply), _)) => {
+                    if matches!(reply, Reply::Ack(_)) {
+                        self.read_reports(node);
+                    }
+                    return reply.on_link(node);
+                }
+                Ok(_) => unreachable!("only replies and refusals travel on T_ACK"),
+                Err(waited) => {
+                    return Err(if self.nodes[node].down.load(Ordering::Acquire) {
+                        ExecError::NodeFailed { node }
+                    } else {
+                        ExecError::Timeout {
+                            waited_ms: waited.as_millis() as u64,
+                        }
                     })
                 }
             }
         }
     }
 
-    /// A `wait` or `drain` reaching `node` executes its whole pending
-    /// batch: everything currently routed there counts as started from
-    /// here on (the recovery plane's at-most-once boundary).
-    fn mark_started(&mut self, node: usize) {
-        // det-ok: order-insensitive flag set; every matching entry gets
-        // the same value regardless of visit order.
-        for r in self.route.values_mut() {
-            if r.node == node {
-                r.started = true;
+    /// Fold the load report and snapshot that rode with `node`'s reply
+    /// into the dispatcher's views (the newest of each wins; one a
+    /// fault withheld leaves its view as it was).
+    fn read_reports(&mut self, node: usize) {
+        let ep = &self.nodes[node].ep;
+        if let Some(Frame::Snapshot(snap)) = ep.try_recv_latest(NODE, T_METRICS) {
+            self.node_metrics[node] = Some(snap);
+        }
+        if let Some(Frame::Load(v)) = ep.try_recv_latest(NODE, T_LOAD) {
+            self.loads[node] = v;
+        }
+    }
+
+    /// Settle an admission `node` refused: the refused jobs leave the
+    /// route table (`jobs_refused`), and their tickets redeem as the
+    /// node's error. Jobs recovery already moved elsewhere stay put.
+    fn refuse(&mut self, node: usize, ids: Vec<u64>, e: ExecError) {
+        let e = on_link(e, node);
+        for id in ids {
+            if self.route.get(&id).is_some_and(|p| p.node == node) {
+                self.route.remove(&id);
+                self.lost.insert(id, e.clone());
+                self.exec_extras.bump("jobs_refused", 1.0);
+            }
+        }
+    }
+
+    /// Send `cmd()` to every live node, then read each reply in node
+    /// order and hand it to `take` — except death frames. Deaths are
+    /// repaired only after the whole round, since recovery traffic
+    /// must not interleave with replies not yet read; the round then
+    /// repeats over the survivors, so the jobs a death requeued are
+    /// covered too. Returns after the first round without a death
+    /// (each one with a death burns a node, so this terminates).
+    fn rounds(
+        &mut self,
+        cmd: impl Fn() -> Command<G>,
+        mut take: impl FnMut(&mut Self, usize, Result<Ack, ExecError>),
+    ) {
+        loop {
+            let targets: Vec<usize> = (0..self.nodes.len()).filter(|&i| self.alive[i]).collect();
+            let mut executes = false;
+            for &node in &targets {
+                let c = cmd();
+                executes = c.executes();
+                self.command(node, c);
+            }
+            let mut died = Vec::new();
+            for &node in &targets {
+                match self.reply(node, executes) {
+                    Err(ExecError::NodeFailed { .. }) => died.push(node),
+                    reply => take(self, node, reply),
+                }
+            }
+            if died.is_empty() {
+                return;
+            }
+            for node in died {
+                self.handle_node_down(node);
             }
         }
     }
 
     /// Node `node` is gone: mark it dead, join the agent, attribute the
     /// failure, and repair the route table — never-started ledger jobs
-    /// requeue onto survivors, started ones retry at most once, the
-    /// rest are recorded as lost. Idempotent per node.
+    /// requeue onto survivors (`jobs_requeued`), started ones retry at
+    /// most once (`retries`), the rest are recorded as lost
+    /// (`jobs_lost`). Idempotent per node.
     fn handle_node_down(&mut self, node: usize) {
         if !self.alive[node] {
             return;
@@ -924,141 +983,75 @@ impl<G> Cluster<G> {
             let _ = agent.join();
         }
         self.exec_extras.set(format!("node{node}.failed"), 1.0);
-        let mut stranded: Vec<u64> = self
-            .route
-            // det-ok: ids are collected into a Vec and sorted before
-            // any routing decision is made from them.
-            .iter()
-            .filter(|(_, r)| r.node == node)
-            .map(|(&id, _)| id)
-            .collect();
-        stranded.sort_unstable();
-        for id in stranded {
-            let r = self.route.remove(&id).expect("stranded id is routed");
-            let Some(mut keep) = self.retained.remove(&id) else {
-                self.lost.insert(id, node);
+        for id in self.ids_on(node, |_| true) {
+            let p = &self.route[&id];
+            let started = p.started;
+            // The single retry is spent: at-most-once means this job
+            // dies with its second node.
+            let saveable = p.spec.is_some() && !(started && p.retried);
+            if saveable && self.replace(id).is_ok() {
+                if started {
+                    self.route
+                        .get_mut(&id)
+                        .expect("re-placed job is routed")
+                        .retried = true;
+                    self.exec_extras.bump("retries", 1.0);
+                } else {
+                    self.exec_extras.bump("jobs_requeued", 1.0);
+                }
+            } else {
+                self.route.remove(&id);
+                self.lost.insert(id, ExecError::NodeFailed { node });
                 self.exec_extras.bump("jobs_lost", 1.0);
-                continue;
-            };
-            if r.started && keep.retried {
-                // The single retry is spent: at-most-once means this
-                // job dies with its second node.
-                self.lost.insert(id, node);
-                self.exec_extras.bump("jobs_lost", 1.0);
-                continue;
-            }
-            let cloner = self.cloner.expect("a retained spec implies a cloner");
-            match self.place_anywhere(cloner(&keep.spec)) {
-                Ok((new_node, local)) => {
-                    if r.started {
-                        keep.retried = true;
-                        self.exec_extras.bump("retries", 1.0);
-                    } else {
-                        self.exec_extras.bump("jobs_requeued", 1.0);
-                    }
-                    self.route.insert(
-                        id,
-                        NodeRoute {
-                            node: new_node,
-                            local,
-                            started: false,
-                        },
-                    );
-                    self.retained.insert(id, keep);
-                }
-                Err(_) => {
-                    self.lost.insert(id, node);
-                    self.exec_extras.bump("jobs_lost", 1.0);
-                }
             }
         }
     }
 
-    /// Send one spec to one node and await its admission ack. A death
-    /// frame surfaces as [`ExecError::NodeFailed`]; the caller decides
-    /// on recovery.
-    fn place_one(&mut self, node: usize, spec: JobSpec<G>) -> Result<u64, ExecError> {
-        self.command(node, Command::Submit(spec));
-        match self.rpc_recv(node)? {
-            Ack::Submitted(local) => Ok(local),
-            _ => Err(out_of_step(node)),
-        }
+    /// Re-place job `id` from its ledger copy onto whichever live node
+    /// routing picks (its old node is already closed to routing). The
+    /// job keeps its cluster id and restarts unstarted; like every
+    /// admission, nothing waits for the node.
+    fn replace(&mut self, id: u64) -> Result<(), ExecError> {
+        let node = self.pick()?;
+        let cloner = self.cloner.expect("a ledger copy implies a cloner");
+        let p = self.route.get_mut(&id).expect("a re-placed job is routed");
+        let spec = cloner(p.spec.as_ref().expect("a re-placed job has a ledger copy"));
+        p.node = node;
+        p.started = false;
+        self.loads[node] += 1.0;
+        self.command(
+            node,
+            Command::Admit {
+                ids: vec![id],
+                specs: vec![spec],
+            },
+        );
+        Ok(())
     }
 
-    /// Place one spec on whichever live node routing picks, absorbing
-    /// node deaths along the way (each death repairs the cluster and
-    /// re-picks; terminates because every pass burns a node). Returns
-    /// the `(node, local id)` of the admission.
-    fn place_anywhere(&mut self, spec: JobSpec<G>) -> Result<(usize, u64), ExecError> {
-        let mut spec = spec;
-        loop {
-            self.refresh_loads();
-            let Some(node) = route::pick(
-                self.policy,
-                &self.loads,
-                &self.limits,
-                &self.alive,
-                &mut self.rr,
-                &mut self.rng,
-            ) else {
-                return Err(self.no_pick_error());
-            };
-            let backup = self.cloner.map(|c| c(&spec));
-            match self.place_one(node, spec) {
-                Ok(local) => return Ok((node, local)),
-                Err(ExecError::NodeFailed { node: dead }) => {
-                    self.handle_node_down(dead);
-                    match backup {
-                        Some(b) => spec = b,
-                        None => return Err(ExecError::NodeFailed { node: dead }),
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Remap one node's drained records onto cluster ids, attribute
-    /// them (and the node's extras) in `merged`, and push them into
-    /// `jobs`. Records in `discard` (a leaving node's speculative
-    /// executions of moved jobs) are dropped; records with no route
-    /// entry count as `jobs_orphaned` (reachable via dropped acks —
-    /// the node admitted work the dispatcher never ticketed).
+    /// Attribute one node's drained records (and its extras) in
+    /// `merged` and push them into `jobs`. Records arrive under cluster
+    /// ids; one whose job is now routed to another node is a leaving
+    /// node's speculative execution of a moved job and is dropped, and
+    /// one with no route entry at all counts as `jobs_orphaned`.
     fn fold_node_records(
         &mut self,
         node: usize,
         recs: Vec<JobStats>,
         extras: ExecExtras,
-        discard: &HashSet<u64>,
         jobs: &mut Vec<JobStats>,
         merged: &mut ExecExtras,
     ) {
-        let mut map: HashMap<u64, u64> = self
-            .route
-            // det-ok: an order-insensitive fold into a keyed map; the
-            // job records built from it are sorted by from_jobs at the
-            // emission point and extras are keyed per node, not per
-            // job.
-            .iter()
-            .filter(|(_, r)| r.node == node)
-            .map(|(&cluster, r)| (r.local, cluster))
-            .collect();
         let mut kept = 0.0;
-        for mut rec in recs {
-            if discard.contains(&rec.id.0) {
-                continue;
-            }
-            match map.remove(&rec.id.0) {
-                Some(cluster) => {
-                    self.route.remove(&cluster);
-                    self.retained.remove(&cluster);
-                    rec.id = JobId(cluster);
+        for rec in recs {
+            match self.route.get(&rec.id.0).map(|p| p.node) {
+                Some(at) if at == node => {
+                    self.route.remove(&rec.id.0);
                     jobs.push(rec);
                     kept += 1.0;
                 }
-                None => {
-                    merged.bump("jobs_orphaned", 1.0);
-                }
+                Some(_) => {}
+                None => merged.bump("jobs_orphaned", 1.0),
             }
         }
         merged.bump(&format!("node{node}.jobs"), kept);
@@ -1070,6 +1063,86 @@ impl<G> Cluster<G> {
         }
         attribute_extras(node, &extras, merged);
         merged.absorb(extras);
+    }
+}
+
+impl<G: Validate> Cluster<G> {
+    /// The one admission path of `submit` and `submit_many`: route,
+    /// validate, send — and return the tickets without waiting for any
+    /// node.
+    ///
+    /// Each job is routed in batch order against the load view, which
+    /// counts it on its node (`+1`) as it goes: exactly what that
+    /// node's report would say once it admitted the job, so a batch
+    /// routes bit-identically to a loop of `submit`. A shed decision
+    /// rolls the view back and admits nothing. Then each node's
+    /// sub-batch is validated: an invalid job rejects its node's whole
+    /// sub-batch (backend batches are atomic on validation), whose
+    /// positions leave the view and take no id, while the other nodes'
+    /// sub-batches stand and surface in the next drain. Cluster ids are
+    /// dense in batch order over the admitted positions, and each
+    /// touched node gets **one** `Admit` frame.
+    fn admit(&mut self, specs: Vec<JobSpec<G>>) -> Result<Vec<Ticket>, ExecError> {
+        let mut assignment = Vec::with_capacity(specs.len());
+        for _ in &specs {
+            match self.pick() {
+                Ok(node) => {
+                    self.loads[node] += 1.0;
+                    assignment.push(node);
+                }
+                Err(e) => {
+                    for &node in &assignment {
+                        self.loads[node] -= 1.0;
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        let n = self.nodes.len();
+        let mut rejected = vec![false; n];
+        let mut first_err: Option<ExecError> = None;
+        for (spec, &node) in specs.iter().zip(&assignment) {
+            if rejected[node] {
+                continue;
+            }
+            if let Err(why) = spec.graph.validate() {
+                rejected[node] = true;
+                first_err.get_or_insert(on_link(ExecError::Rejected(why.to_string()), node));
+            }
+        }
+        let mut batches: Vec<(Vec<u64>, Vec<JobSpec<G>>)> =
+            (0..n).map(|_| (Vec::new(), Vec::new())).collect();
+        let mut tickets = Vec::with_capacity(specs.len());
+        for (spec, node) in specs.into_iter().zip(assignment) {
+            if rejected[node] {
+                self.loads[node] -= 1.0;
+                continue;
+            }
+            let id = self.next_job;
+            self.next_job += 1;
+            self.route.insert(
+                id,
+                Placement {
+                    node,
+                    started: false,
+                    spec: self.cloner.map(|c| c(&spec)),
+                    retried: false,
+                },
+            );
+            let (ids, specs) = &mut batches[node];
+            ids.push(id);
+            specs.push(spec);
+            tickets.push(Ticket::new(self.exec_session, JobId(id)));
+        }
+        for (node, (ids, specs)) in batches.into_iter().enumerate() {
+            if !ids.is_empty() {
+                self.command(node, Command::Admit { ids, specs });
+            }
+        }
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(tickets),
+        }
     }
 }
 
@@ -1088,8 +1161,8 @@ pub struct DrainSummary {
     /// [`das_core::jobs::StreamStats::from_jobs`] reports over the
     /// merged records of a full [`Executor::drain`].
     pub span: f64,
-    /// The per-node post-drain snapshots, in reply order (node-index
-    /// ascending over the live nodes).
+    /// The per-node post-drain snapshots of the live nodes, in
+    /// node-index order.
     pub report: MetricsReport,
 }
 
@@ -1134,246 +1207,63 @@ fn out_of_step(node: usize) -> ExecError {
     ExecError::Failed(format!("node {node}: reply out of step with its command"))
 }
 
-impl<G> Executor for Cluster<G> {
+impl<G: Validate> Executor for Cluster<G> {
     type Graph = G;
 
     fn backend(&self) -> &'static str {
         "das-cluster"
     }
 
-    /// Route the job by policy, forward it to its node, and stamp the
-    /// acknowledged node-local id into the cluster's route table.
-    /// Cluster job ids are dense in submission order across the whole
-    /// cluster (rejected jobs consume no id, as on the bare backends).
-    /// With recovery enabled a spec copy enters the ledger; a node
-    /// death during the placement is absorbed (the stranded jobs of the
-    /// dead node requeue first, then this job re-places on a survivor).
+    /// Route the job by policy against the dispatcher's load view,
+    /// validate it, and send it to its node in one one-way frame. The
+    /// ticket means *routed*: the call returns without waiting for the
+    /// node, and a node failure surfaces at the next `wait` or drain
+    /// on that node, where recovery takes over. Cluster job ids are
+    /// dense in submission order across the whole cluster (rejected
+    /// jobs consume no id, as on the bare backends). With recovery
+    /// enabled a spec copy enters the ledger.
     fn submit(&mut self, spec: JobSpec<G>) -> Result<Ticket, ExecError> {
-        let keep = self.cloner.map(|c| c(&spec));
-        let (node, local) = self.place_anywhere(spec)?;
-        let id = JobId(self.next_job);
-        self.next_job += 1;
-        self.route.insert(
-            id.0,
-            NodeRoute {
-                node,
-                local,
-                started: false,
-            },
-        );
-        if let Some(spec) = keep {
-            self.retained.insert(
-                id.0,
-                Retained {
-                    spec,
-                    retried: false,
-                },
-            );
-        }
-        Ok(Ticket::new(self.exec_session, id))
+        let mut tickets = self.admit(vec![spec])?;
+        Ok(tickets.pop().expect("an admitted job has a ticket"))
     }
 
     /// Route a whole batch, then send **one wire message per node with
-    /// a non-empty sub-batch** instead of one per job — the per-message
-    /// fixed costs (wake-up, ack round-trip) amortise over the batch.
-    ///
-    /// Routing is bit-identical to an equivalent loop of `submit`: each
-    /// job is picked in batch order against a load view updated
-    /// *locally* after every assignment — exactly the `+1` the node's
-    /// synchronous `T_LOAD` report would have applied between two
-    /// looped submissions (nothing else moves the count between the
-    /// two). Cluster ids are dense in batch order.
-    ///
-    /// On a shed decision mid-batch nothing is admitted (local view
-    /// rolled back, error returned). A node *rejecting* its sub-batch
-    /// admits nothing on that node (backend batches are atomic on
-    /// validation), but the sub-batches of other nodes remain admitted
-    /// and surface in the next drain — their tickets are lost with the
-    /// error, exactly like a failed batch on the bare backends. A node
-    /// *dying* on its sub-batch is recovered: with the ledger on, its
-    /// positions re-place onto survivors (`jobs_requeued`).
+    /// a non-empty sub-batch** instead of one per job. Routing, ids and
+    /// frames follow the one admission path `submit` takes, so the
+    /// batch is bit-identical to a loop of `submit`; see
+    /// `Cluster::admit` for the shed and rejection semantics. A node
+    /// rejecting its sub-batch admits nothing on that node, but the
+    /// sub-batches of other nodes stay admitted and surface in the next
+    /// drain — their tickets are lost with the error, exactly like a
+    /// failed batch on the bare backends.
     fn submit_many(&mut self, specs: Vec<JobSpec<G>>) -> Result<Vec<Ticket>, ExecError> {
         if specs.is_empty() {
             return Err(ExecError::Rejected("empty batch".into()));
         }
-        self.refresh_loads();
-        let total = specs.len();
-        // Phase 1: route every job against the locally-updated view.
-        let mut assignment = Vec::with_capacity(total);
-        for _ in &specs {
-            match route::pick(
-                self.policy,
-                &self.loads,
-                &self.limits,
-                &self.alive,
-                &mut self.rr,
-                &mut self.rng,
-            ) {
-                Some(node) => {
-                    self.loads[node] += 1.0;
-                    assignment.push(node);
-                }
-                None => {
-                    let err = self.no_pick_error();
-                    for &node in &assignment {
-                        self.loads[node] -= 1.0;
-                    }
-                    return Err(err);
-                }
-            }
-        }
-        // Ledger copies, one per position, while recovery is on.
-        let mut kept: Vec<Option<JobSpec<G>>> = match self.cloner {
-            Some(c) => specs.iter().map(|s| Some(c(s))).collect(),
-            None => (0..total).map(|_| None).collect(),
-        };
-        // Phase 2: per-node sub-batches (batch order within each node),
-        // ONE command frame per node.
-        let n = self.nodes.len();
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut batches: Vec<Vec<JobSpec<G>>> = (0..n).map(|_| Vec::new()).collect();
-        for (pos, (spec, &node)) in specs.into_iter().zip(&assignment).enumerate() {
-            groups[node].push(pos);
-            batches[node].push(spec);
-        }
-        for (node, batch) in batches.into_iter().enumerate() {
-            if !batch.is_empty() {
-                self.command(node, Command::SubmitMany(batch));
-            }
-        }
-        // Phase 3: collect one batch ack per commanded node (node
-        // order; the agents work concurrently regardless). Deaths are
-        // only recorded here — every outstanding ack must be consumed
-        // before any recovery traffic, or a requeue's ack would
-        // interleave with a pending batch ack on the same link.
-        let mut locals: Vec<VecDeque<u64>> = vec![VecDeque::new(); n];
-        let mut died: Vec<usize> = Vec::new();
-        let mut first_err: Option<ExecError> = None;
-        for node in 0..n {
-            if groups[node].is_empty() {
-                continue;
-            }
-            match self.rpc_recv(node) {
-                Ok(Ack::SubmittedMany(ids)) => {
-                    debug_assert_eq!(ids.len(), groups[node].len());
-                    locals[node] = ids.into();
-                }
-                Ok(_) => {
-                    first_err.get_or_insert(out_of_step(node));
-                }
-                Err(ExecError::NodeFailed { .. }) => died.push(node),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        // Phase 3b: repair each death, then re-place its sub-batch
-        // positions (batch order) onto survivors from the ledger.
-        let mut moved: HashMap<usize, (usize, u64)> = HashMap::new();
-        for dead in died {
-            self.handle_node_down(dead);
-            for &pos in &groups[dead] {
-                let replay = kept[pos]
-                    .as_ref()
-                    .map(|k| (self.cloner.expect("a kept spec implies a cloner"))(k));
-                let Some(spec) = replay else {
-                    first_err.get_or_insert(ExecError::NodeFailed { node: dead });
-                    continue;
-                };
-                match self.place_anywhere(spec) {
-                    Ok(placed) => {
-                        moved.insert(pos, placed);
-                        self.exec_extras.bump("jobs_requeued", 1.0);
-                    }
-                    Err(e) => {
-                        kept[pos] = None;
-                        first_err.get_or_insert(e);
-                    }
-                }
-            }
-        }
-        // Phase 4: cluster ids, dense in batch order over the admitted
-        // jobs (a rejected sub-batch consumes no ids).
-        let mut tickets = Vec::with_capacity(total);
-        for (pos, &node) in assignment.iter().enumerate() {
-            let placed = moved
-                .remove(&pos)
-                .or_else(|| locals[node].pop_front().map(|local| (node, local)));
-            let Some((mut node, mut local)) = placed else {
-                continue;
-            };
-            let id = JobId(self.next_job);
-            self.next_job += 1;
-            if !self.alive[node] {
-                // The node died after admitting this position (during
-                // another position's recovery): re-place from the
-                // ledger, or record the loss.
-                let replay = kept[pos]
-                    .as_ref()
-                    .map(|k| (self.cloner.expect("a kept spec implies a cloner"))(k));
-                match replay.map(|s| self.place_anywhere(s)) {
-                    Some(Ok(placed)) => {
-                        (node, local) = placed;
-                        self.exec_extras.bump("jobs_requeued", 1.0);
-                    }
-                    Some(Err(_)) | None => {
-                        self.lost.insert(id.0, node);
-                        self.exec_extras.bump("jobs_lost", 1.0);
-                        tickets.push(Ticket::new(self.exec_session, id));
-                        continue;
-                    }
-                }
-            }
-            self.route.insert(
-                id.0,
-                NodeRoute {
-                    node,
-                    local,
-                    started: false,
-                },
-            );
-            if let Some(spec) = kept[pos].take() {
-                self.retained.insert(
-                    id.0,
-                    Retained {
-                        spec,
-                        retried: false,
-                    },
-                );
-            }
-            tickets.push(Ticket::new(self.exec_session, id));
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(tickets),
-        }
+        self.admit(specs)
     }
 
     /// Redeem a ticket against the node its job was routed to; the
     /// returned record carries the cluster job id and consumes the
     /// job's drain record (node-side and in the route table). A node
-    /// death during the wait repairs the cluster and retries the wait
-    /// wherever the job landed; a job the failure plane could not save
-    /// redeems as [`ExecError::NodeFailed`].
+    /// death discovered by the wait repairs the cluster and retries the
+    /// wait wherever the job landed; a job the failure plane could not
+    /// save, or its node refused, redeems as that typed error.
     fn wait(&mut self, ticket: Ticket) -> Result<JobStats, ExecError> {
         let id = ticket.job();
         if ticket.session() != self.exec_session {
             return Err(ExecError::UnknownTicket(id));
         }
         loop {
-            if let Some(node) = self.lost.remove(&id.0) {
-                return Err(ExecError::NodeFailed { node });
+            if let Some(e) = self.lost.remove(&id.0) {
+                return Err(e);
             }
-            let Some(&NodeRoute { node, local, .. }) = self.route.get(&id.0) else {
+            let Some(node) = self.route.get(&id.0).map(|p| p.node) else {
                 return Err(ExecError::UnknownTicket(id));
             };
-            self.mark_started(node);
-            self.command(node, Command::Wait(local));
-            let err = match self.rpc_recv(node) {
-                Ok(Ack::Waited(mut stats)) => {
+            let err = match self.call(node, Command::Wait(id.0)) {
+                Ok(Ack::Waited(stats)) => {
                     self.route.remove(&id.0);
-                    self.retained.remove(&id.0);
-                    stats.id = id;
                     return Ok(stats);
                 }
                 Err(ExecError::NodeFailed { .. }) => {
@@ -1384,86 +1274,67 @@ impl<G> Executor for Cluster<G> {
                     continue;
                 }
                 Err(e @ ExecError::Timeout { .. }) => return Err(e),
-                // Remap the node-local id in the error onto the cluster
-                // id.
-                Err(ExecError::UnknownTicket(_)) => ExecError::UnknownTicket(id),
+                // The node no longer holds the job: it refused it (the
+                // refusal was settled on the way), or it never had it.
+                Err(ExecError::UnknownTicket(_)) => self
+                    .lost
+                    .remove(&id.0)
+                    .unwrap_or(ExecError::UnknownTicket(id)),
                 Err(e) => e,
                 Ok(_) => out_of_step(node),
             };
             self.route.remove(&id.0);
-            self.retained.remove(&id.0);
             return Err(err);
         }
     }
 
     /// Drain every live node and merge the per-node results. Each node
     /// answers with one reply carrying its drained stream and extras.
-    /// A node death mid-drain requeues its stranded jobs onto survivors
-    /// and triggers another round, so the stream still completes
-    /// (deaths are handled only *after* a round's acks
+    /// A node death found by the drain requeues its stranded jobs onto
+    /// survivors and triggers another round, so the stream still
+    /// completes (deaths are handled only *after* a round's replies
     /// are all consumed — recovery traffic must not interleave with
-    /// pending drain acks). A missing reply within the RPC deadline is
-    /// a typed [`ExecError::Timeout`], never a hang — the fix for the
-    /// forever-blocking drain of the collective design. On a node
+    /// pending drain replies). A missing reply within the RPC deadline
+    /// is a typed [`ExecError::Timeout`], never a hang — the fix for
+    /// the forever-blocking drain of the collective design. On a node
     /// *error* (not death) the whole drain fails and the outstanding
     /// jobs of the failed batch are lost (mirroring the bare
     /// simulator's batch-failure semantics).
     fn drain(&mut self) -> Result<StreamStats, ExecError> {
         let mut jobs = std::mem::take(&mut self.banked_jobs);
         let mut merged = std::mem::take(&mut self.banked_extras);
-        let no_discard = HashSet::new();
         let mut failures: Vec<(usize, ExecError)> = Vec::new();
         let mut hard_err: Option<ExecError> = None;
-        loop {
-            let targets: Vec<usize> = (0..self.nodes.len()).filter(|&i| self.alive[i]).collect();
-            if targets.is_empty() {
-                break;
-            }
-            for &node in &targets {
-                self.mark_started(node);
-                self.command(node, Command::Drain);
-            }
-            let mut died: Vec<usize> = Vec::new();
-            for &node in &targets {
-                match self.rpc_recv(node) {
-                    Ok(Ack::Drained(stats, extras)) => {
-                        self.fold_node_records(
-                            node,
-                            stats.jobs,
-                            extras,
-                            &no_discard,
-                            &mut jobs,
-                            &mut merged,
-                        );
-                    }
-                    Err(ExecError::NodeFailed { .. }) => died.push(node),
-                    Err(e @ ExecError::Timeout { .. }) => {
-                        hard_err.get_or_insert(e);
-                    }
-                    Err(e) => failures.push((node, e)),
-                    Ok(_) => failures.push((node, out_of_step(node))),
+        self.rounds(
+            || Command::Drain,
+            |this, node, reply| match reply {
+                Ok(Ack::Drained(stats, extras)) => {
+                    this.fold_node_records(node, stats.jobs, extras, &mut jobs, &mut merged);
                 }
-            }
-            self.refresh_loads();
-            if died.is_empty() {
-                break;
-            }
-            // Repair after the whole round's acks are in; the requeued
-            // jobs land on survivors, which the next round drains.
-            for node in died {
-                self.handle_node_down(node);
-            }
-        }
+                Err(e @ ExecError::Timeout { .. }) => {
+                    hard_err.get_or_insert(e);
+                }
+                Err(e) => failures.push((node, e)),
+                Ok(_) => failures.push((node, out_of_step(node))),
+            },
+        );
+        // Route entries left over after a full drain belong to jobs an
+        // *earlier failed batch* lost (a `wait` that returned `Failed`
+        // loses its node's whole pending batch, but the dispatcher only
+        // learns about the waited job), or to a drain that failed or
+        // timed out: drop them, exactly as the bare simulator forgets a
+        // failed batch — their tickets redeem as `UnknownTicket` from
+        // here on. (Jobs recorded as lost stay in the lost set and keep
+        // redeeming as their typed error.)
+        self.route.clear();
         if let Some(e) = hard_err {
             // A silent node leaves the drained state unknowable: drop
             // this cycle's bookkeeping and surface the typed error.
-            self.route.clear();
-            self.retained.clear();
             return Err(e);
         }
         if !failures.is_empty() {
             // Node errors arrive attributed (`node {i}: …`, see
-            // `Reply::on_link`); join their reasons.
+            // `wire::on_link`); join their reasons.
             let why = failures
                 .iter()
                 .map(|(node, e)| match e {
@@ -1472,20 +1343,8 @@ impl<G> Executor for Cluster<G> {
                 })
                 .collect::<Vec<_>>()
                 .join("; ");
-            self.route.clear();
-            self.retained.clear();
             return Err(ExecError::Failed(why));
         }
-        // Route entries left over after a full drain belong to jobs an
-        // *earlier failed batch* lost (a `wait` that returned `Failed`
-        // loses its node's whole pending batch, but the dispatcher only
-        // learns about the waited job): drop them, exactly as the bare
-        // simulator forgets a failed batch — their tickets redeem as
-        // `UnknownTicket` from here on. (Jobs the failure plane
-        // recorded as lost stay in the lost set and keep redeeming as
-        // `NodeFailed`.)
-        self.route.clear();
-        self.retained.clear();
         self.exec_extras.absorb(merged);
         // The cluster size is a fact, not a counter: write it with set
         // semantics *after* the absorb so repeated drains between two
@@ -1501,7 +1360,7 @@ impl<G> Executor for Cluster<G> {
 
     /// The merged cluster probe: the bin-wise sum of every node's
     /// latest snapshot (order-insensitive and exact — the sketches are
-    /// integer counts). `None` until any node has pushed a snapshot,
+    /// integer counts). `None` until any node has delivered a snapshot,
     /// so a metrics-off cluster reports exactly like a metrics-off
     /// backend.
     fn metrics_probe(&mut self) -> Option<ExecProbe> {
@@ -1529,9 +1388,8 @@ impl<G> Drop for Cluster<G> {
 /// thread body runs under `catch_unwind`: on a panic (a scheduled kill,
 /// or an agent bug) the wrapper publishes the down flag — `Release`,
 /// paired with the dispatcher's `Acquire` in `rpc_recv` — and sends the
-/// death frame as its last frame, so a dispatcher blocked on this
-/// command's ack observes the death deterministically instead of timing
-/// out.
+/// death frame as its last frame, so the dispatcher's next read on this
+/// link observes the death deterministically instead of timing out.
 fn spawn_node<E>(
     i: usize,
     exec: E,
@@ -1641,22 +1499,32 @@ impl SnapState {
 }
 
 /// One node's agent: owns the node's executor and its end of the link,
-/// and holds the node-local tickets (which live, and die, here). The
-/// outstanding-job count it reports is the number of tickets held.
+/// and holds the node-local tickets (which live, and die, here) under
+/// their cluster job ids. The outstanding-job count it reports is the
+/// number of tickets held.
 struct Agent<E: Executor> {
     node: usize,
     exec: E,
     ep: Endpoint<Frame<E::Graph>>,
     plane: FaultPlane,
+    /// Held tickets, by cluster job id.
     tickets: HashMap<u64, Ticket>,
+    /// Cluster job id of each held job, by node-local id: how drained
+    /// records get their cluster ids back.
+    cluster_ids: HashMap<u64, u64>,
     last_load: f64,
+    /// The newest load report and snapshot not yet delivered; they go
+    /// out ahead of the next reply or refusal.
+    out_load: Option<f64>,
+    out_snap: Option<NodeSnapshot>,
     snap: Option<SnapState>,
 }
 
 /// The node agent loop: serve dispatcher commands until `Shutdown`,
-/// one reply each. The agent consults its [`FaultPlane`] at every
-/// admission and every outgoing frame — all triggers are logical
-/// (counts, not clocks), so injected faults reproduce bit-exactly.
+/// one reply each, except admissions, which are answered only by a
+/// refusal. The agent consults its [`FaultPlane`] at every admission,
+/// load report and reply — all triggers are logical (counts, not
+/// clocks), so injected faults reproduce bit-exactly.
 fn node_agent<E: Executor>(
     node: usize,
     exec: E,
@@ -1670,7 +1538,10 @@ fn node_agent<E: Executor>(
         ep,
         plane,
         tickets: HashMap::new(),
+        cluster_ids: HashMap::new(),
         last_load: 0.0,
+        out_load: None,
+        out_snap: None,
         snap: metrics.map(SnapState::new),
     };
     loop {
@@ -1682,25 +1553,9 @@ fn node_agent<E: Executor>(
         };
         let reply = match cmd {
             Command::Shutdown => return,
-            Command::Submit(spec) => {
-                agent.kill_if_due(1);
-                let held = agent.tickets.len();
-                let reply = run_op(|| agent.exec.submit(spec));
-                let reply = reply.map(|t| Ack::Submitted(agent.hold(t)));
-                agent.after_admission(held);
-                reply
-            }
-            // The backend batch is atomic on validation: on error the
-            // node admits nothing and the count is untouched.
-            Command::SubmitMany(specs) => {
-                agent.kill_if_due(specs.len() as u64);
-                let held = agent.tickets.len();
-                let reply = run_op(|| agent.exec.submit_many(specs));
-                let reply = reply.map(|batch| {
-                    Ack::SubmittedMany(batch.into_iter().map(|t| agent.hold(t)).collect())
-                });
-                agent.after_admission(held);
-                reply
+            Command::Admit { ids, specs } => {
+                agent.admit(ids, specs);
+                continue;
             }
             // Only the waited job leaves the count, even when the wait
             // fails. On a batch backend a `Failed` wait lost the node's
@@ -1711,16 +1566,29 @@ fn node_agent<E: Executor>(
             // outstanding, so resyncing here would corrupt *their*
             // waits), and steering new jobs away from a node that just
             // failed a batch is the right routing bias anyway.
-            Command::Wait(local) => {
-                let reply = match agent.tickets.remove(&local) {
-                    Some(ticket) => run_op(|| agent.exec.wait(ticket)).map(Ack::Waited),
-                    None => Err(ExecError::UnknownTicket(JobId(local))),
+            Command::Wait(id) => {
+                let reply = match agent.tickets.remove(&id) {
+                    Some(ticket) => {
+                        agent.cluster_ids.remove(&ticket.job().0);
+                        run_op(|| agent.exec.wait(ticket)).map(|mut stats| {
+                            stats.id = JobId(id);
+                            Ack::Waited(stats)
+                        })
+                    }
+                    None => Err(ExecError::UnknownTicket(JobId(id))),
                 };
                 agent.report(None);
                 reply
             }
             Command::Drain => {
-                let drained = run_op(|| agent.exec.drain());
+                let drained = run_op(|| agent.exec.drain()).map(|mut stats| {
+                    for rec in &mut stats.jobs {
+                        if let Some(&id) = agent.cluster_ids.get(&rec.id.0) {
+                            rec.id = JobId(id);
+                        }
+                    }
+                    stats
+                });
                 let (extras, _) = agent.close_epoch();
                 drained.map(|stats| Ack::Drained(stats, extras))
             }
@@ -1751,9 +1619,10 @@ fn node_agent<E: Executor>(
                 })
             }
             // A pull is not an admission edge and changes no
-            // outstanding count: no load report rides with it.
+            // outstanding count: no load report is taken for it.
             Command::PullTrace => Ok(Ack::Trace(agent.exec.take_trace_spans())),
         };
+        agent.flush_reports();
         // A `DropAcks` fault withholds the reply (the dispatcher then
         // surfaces a typed timeout).
         if !agent.plane.drop_ack() {
@@ -1763,6 +1632,37 @@ fn node_agent<E: Executor>(
 }
 
 impl<E: Executor> Agent<E> {
+    /// Admit jobs under their cluster ids. Nothing goes back unless
+    /// the backend refuses them: then the refusal, with the pending
+    /// reports ahead of it, is the one reply the admission causes.
+    /// Refusals are never withheld by `DropAcks` — they are the only
+    /// trace of the refused jobs.
+    fn admit(&mut self, ids: Vec<u64>, specs: Vec<JobSpec<E::Graph>>) {
+        self.kill_if_due(ids.len() as u64);
+        let held = self.tickets.len();
+        // One job takes the backend's `submit`, a batch its
+        // `submit_many` — the calls a client of the bare backend makes.
+        let admitted = run_op(|| match <[_; 1]>::try_from(specs) {
+            Ok([spec]) => self.exec.submit(spec).map(|t| vec![t]),
+            Err(specs) => self.exec.submit_many(specs),
+        });
+        let refused = match admitted {
+            Ok(tickets) => {
+                for (&id, ticket) in ids.iter().zip(tickets) {
+                    self.cluster_ids.insert(ticket.job().0, id);
+                    self.tickets.insert(id, ticket);
+                }
+                None
+            }
+            Err(e) => Some(e),
+        };
+        self.after_admission(held);
+        if let Some(e) = refused {
+            self.flush_reports();
+            post(&self.ep, DISPATCHER, Frame::Refused(ids, e));
+        }
+    }
+
     /// Die by the fault plane's scheduled `Kill` when admitting `jobs`
     /// more jobs reaches its trigger.
     fn kill_if_due(&mut self, jobs: u64) {
@@ -1770,19 +1670,12 @@ impl<E: Executor> Agent<E> {
             // fault-ok: the scheduled Kill fault takes this agent down
             // by design — the spawn wrapper catches the panic,
             // publishes the down flag and sends the death frame the
-            // blocked dispatcher is waiting on.
+            // dispatcher reads at its next sync on this link.
             panic!(
                 "fault plane: killed after {} admitted jobs",
                 self.plane.admitted()
             );
         }
-    }
-
-    /// Keep an admitted job's ticket; returns its node-local id.
-    fn hold(&mut self, ticket: Ticket) -> u64 {
-        let local = ticket.job().0;
-        self.tickets.insert(local, ticket);
-        local
     }
 
     /// After an admission that found `held` tickets: count the newly
@@ -1801,6 +1694,7 @@ impl<E: Executor> Agent<E> {
     /// snapshot (`None` while metrics are off).
     fn close_epoch(&mut self) -> (ExecExtras, Option<NodeSnapshot>) {
         self.tickets.clear();
+        self.cluster_ids.clear();
         let snap = self.snapshot_if_due(0, true);
         self.report(snap.clone());
         let mut extras = self.exec.take_extras();
@@ -1833,17 +1727,17 @@ impl<E: Executor> Agent<E> {
         Some(snap)
     }
 
-    /// Push this node's state — `snapshot` if one is due, then the
-    /// load report — as the fault plane allows: a `Slow` fault
-    /// inflates the reported load (steering the policies away, the
-    /// deterministic stand-in for a degraded node), `DropLoadReports`
-    /// withholds the pair, `DelayLoadReports` re-sends the previous
-    /// (stale) pair. The snapshot and the load report share **one**
-    /// drop/delay decision (the same tokens are consumed whether or
-    /// not metrics are on, so fault schedules reproduce identically
-    /// either way), and the snapshot goes first — the dispatcher's
-    /// keep-latest reads then never see a load value fresher than the
-    /// snapshot beside it.
+    /// Take this node's state report — `snapshot` if one is due, then
+    /// the load — as the fault plane allows: a `Slow` fault inflates
+    /// the reported load (steering the policies away, the deterministic
+    /// stand-in for a degraded node), `DropLoadReports` withholds the
+    /// pair, `DelayLoadReports` re-sends the previous (stale) pair. The
+    /// snapshot and the load report share **one** drop/delay decision
+    /// (the same tokens are consumed whether or not metrics are on, so
+    /// fault schedules reproduce identically either way). The pair is
+    /// not posted here: it replaces the undelivered one, and
+    /// [`Agent::flush_reports`] delivers the newest ahead of the next
+    /// reply.
     fn report(&mut self, snapshot: Option<NodeSnapshot>) {
         let value = self.tickets.len() as f64 * self.plane.slow_factor();
         let dropped = self.plane.drop_load_report();
@@ -1854,12 +1748,12 @@ impl<E: Executor> Agent<E> {
             } else if delayed {
                 state.delayed += 1.0;
                 if let Some(prev) = &state.last_sent {
-                    post(&self.ep, DISPATCHER, Frame::Snapshot(prev.clone()));
+                    self.out_snap = Some(prev.clone());
                 }
             } else {
                 state.sent += 1.0;
                 state.last_sent = Some(snap.clone());
-                post(&self.ep, DISPATCHER, Frame::Snapshot(snap));
+                self.out_snap = Some(snap);
             }
         }
         if dropped {
@@ -1868,7 +1762,19 @@ impl<E: Executor> Agent<E> {
         if !delayed {
             self.last_load = value;
         }
-        post(&self.ep, DISPATCHER, Frame::Load(self.last_load));
+        self.out_load = Some(self.last_load);
+    }
+
+    /// Deliver the undelivered snapshot and load report, the snapshot
+    /// first — the dispatcher's keep-latest reads then never see a load
+    /// value fresher than the snapshot beside it.
+    fn flush_reports(&mut self) {
+        if let Some(snap) = self.out_snap.take() {
+            post(&self.ep, DISPATCHER, Frame::Snapshot(snap));
+        }
+        if let Some(load) = self.out_load.take() {
+            post(&self.ep, DISPATCHER, Frame::Load(load));
+        }
     }
 }
 
@@ -1928,7 +1834,7 @@ mod tests {
             assert_eq!(
                 extras.get(&format!("node{node}.jobs")),
                 Some(3.0),
-                "synchronous load reports make least-outstanding exact"
+                "the dispatcher's own load view makes least-outstanding exact"
             );
         }
     }
@@ -1978,6 +1884,28 @@ mod tests {
         let ok = Executor::submit(&mut cluster, chain_job(0)).unwrap();
         assert_eq!(ok.job(), JobId(0));
         assert_eq!(Executor::wait(&mut cluster, ok).unwrap().tasks, 4);
+    }
+
+    #[test]
+    fn a_refused_admission_redeems_as_the_node_error() {
+        // The dispatcher sheds at the sessions' bounds (none here), but
+        // this node's executor enforces a bound of 1 of its own: it
+        // refuses the second job, and that refusal — the one frame an
+        // admission can cause — surfaces at the next sync point.
+        let mut cluster = ClusterBuilder::new(base_session(37), 1)
+            .build_with(|_, session| Simulator::from_session(&session.clone().max_outstanding(1)));
+        let t0 = Executor::submit(&mut cluster, chain_job(0)).unwrap();
+        let t1 = Executor::submit(&mut cluster, chain_job(1)).unwrap();
+        assert_eq!(
+            Executor::wait(&mut cluster, t1),
+            Err(ExecError::Overloaded {
+                outstanding: 1,
+                limit: 1
+            })
+        );
+        assert_eq!(Executor::wait(&mut cluster, t0).unwrap().tasks, 4);
+        assert!(cluster.drain().unwrap().jobs.is_empty());
+        assert_eq!(cluster.take_extras().get("jobs_refused"), Some(1.0));
     }
 
     #[test]
@@ -2182,9 +2110,11 @@ mod tests {
 
     #[test]
     fn seeded_kill_requeues_onto_survivors() {
-        // kill(2, 1): node 2 admits one job, then dies at its second
-        // admission. The stranded job requeues, the triggering job
-        // re-places, and the whole stream completes on nodes 0 and 1.
+        // kill(2, 1): node 2 admits one job (2), then dies at its second
+        // admission (5); job 8 goes to the dead link too. Admission is
+        // one-way, so the death surfaces at the drain, which requeues
+        // all three (none had begun) and completes the stream on nodes
+        // 0 and 1.
         let base = base_session(21).fault_schedule(FaultSchedule::new(21).kill(2, 1));
         let mut cluster = ClusterBuilder::new(base, 3)
             .route(RoutePolicy::RoundRobin)
@@ -2192,14 +2122,15 @@ mod tests {
         for j in 0..9 {
             Executor::submit(&mut cluster, chain_job(j)).unwrap();
         }
-        assert_eq!(cluster.live_nodes(), 2, "node 2 died mid-stream");
+        assert_eq!(cluster.live_nodes(), 3, "no sync point has read node 2 yet");
         let stats = cluster.drain().unwrap();
         assert_eq!(stats.jobs.len(), 9, "every job completes on survivors");
         let ids: Vec<u64> = stats.jobs.iter().map(|j| j.id.0).collect();
         assert_eq!(ids, (0..9).collect::<Vec<_>>(), "ids stay dense");
         let extras = cluster.take_extras();
         assert_eq!(extras.get("node2.failed"), Some(1.0));
-        assert_eq!(extras.get("jobs_requeued"), Some(1.0));
+        assert_eq!(extras.get("jobs_requeued"), Some(3.0));
+        assert_eq!(extras.get("retries"), None);
         assert_eq!(extras.get("jobs_lost"), None);
         assert_eq!(extras.get("nodes"), Some(2.0), "live count after the kill");
     }
@@ -2249,14 +2180,17 @@ mod tests {
             .rpc_deadline(Duration::from_millis(2))
             .rpc_attempts(2)
             .build_sim();
-        let err = Executor::submit(&mut cluster, chain_job(0)).unwrap_err();
+        // An admission sends no ack, so it spends no token: the wait's
+        // reply is the first one withheld.
+        let t = Executor::submit(&mut cluster, chain_job(0)).unwrap();
+        let err = Executor::wait(&mut cluster, t).unwrap_err();
         assert!(matches!(err, ExecError::Timeout { .. }), "{err:?}");
-        // The node admitted the job but its ack was withheld: the
-        // record surfaces at drain as an orphan, not a completion.
+        // The node served the wait — the record left with the withheld
+        // reply — so the drain finds nothing, and nothing is orphaned.
         let stats = cluster.drain().unwrap();
         assert!(stats.jobs.is_empty());
         let extras = cluster.take_extras();
-        assert_eq!(extras.get("jobs_orphaned"), Some(1.0));
+        assert_eq!(extras.get("jobs_orphaned"), None);
     }
 
     #[test]
@@ -2280,19 +2214,23 @@ mod tests {
         let mut cluster = ClusterBuilder::new(base, 2)
             .route(RoutePolicy::RoundRobin)
             .build_sim();
-        for j in 0..6 {
-            Executor::submit(&mut cluster, chain_job(j)).unwrap();
-        }
-        // Cadence (every 2 admissions) has pushed snapshots already,
-        // before any drain.
+        let mut tickets: Vec<Ticket> = (0..6)
+            .map(|j| Executor::submit(&mut cluster, chain_job(j)).unwrap())
+            .collect();
+        // Snapshots travel with a node's replies: before any sync point
+        // the dispatcher has none.
+        assert!(cluster.metrics_report().nodes.is_empty());
+        // Waiting on node 0's first job delivers the cadence snapshot
+        // (every 2 admissions) node 0 took at its 2nd admission of 3.
+        Executor::wait(&mut cluster, tickets.remove(0)).unwrap();
         let report = cluster.metrics_report();
-        assert_eq!(report.nodes.len(), 2, "both nodes snapshot by cadence");
-        // Each node snapshotted at its 2nd admission (3 jobs each under
-        // round-robin), so the freshest pre-drain view totals 4.
-        assert_eq!(report.totals().jobs_admitted, 4);
+        assert_eq!(report.nodes.len(), 1, "only node 0 has replied");
+        assert_eq!(report.nodes[0].node, 0);
+        assert_eq!(report.totals().jobs_admitted, 2);
         let stats = cluster.drain().unwrap();
-        assert_eq!(stats.jobs.len(), 6);
-        // The drain-epoch snapshots carry completions and sketches.
+        assert_eq!(stats.jobs.len(), 5, "the waited job left with its wait");
+        // The drain-epoch snapshots carry completions and sketches; the
+        // probes are cumulative, so the waited job counts too.
         let totals = cluster.metrics_probe().expect("metrics on");
         assert_eq!(totals.jobs_completed, 6);
         assert_eq!(totals.sojourn.count(), 6);
@@ -2373,6 +2311,64 @@ mod tests {
         // Tickets retired exactly like a drain: nothing left to wait.
         let t = Executor::submit(&mut cluster, chain_job(10)).unwrap();
         assert!(Executor::wait(&mut cluster, t).is_ok());
+    }
+
+    #[test]
+    fn drain_summary_repairs_a_death_it_discovers_then_drains_the_survivors() {
+        // kill(1, 1) over 2 round-robin nodes: node 1 admits job 1 and
+        // dies at job 3. The summary is the first call to read node 1's
+        // link; it repairs after its round (jobs 1 and 3 requeue onto
+        // node 0) and drains node 0 again, so it still covers all 4.
+        let base = base_session(35)
+            .metrics(MetricsConfig::default())
+            .fault_schedule(FaultSchedule::new(35).kill(1, 1));
+        let mut cluster = ClusterBuilder::new(base, 2)
+            .route(RoutePolicy::RoundRobin)
+            .build_sim();
+        for j in 0..4 {
+            Executor::submit(&mut cluster, chain_job(j)).unwrap();
+        }
+        let summary = cluster.drain_summary().unwrap();
+        assert_eq!(summary.jobs, 4);
+        assert_eq!(summary.tasks, 16);
+        assert_eq!(summary.report.nodes.len(), 1, "only node 0 survives");
+        assert_eq!(summary.report.totals().jobs_completed, 4);
+        assert!(!cluster.is_alive(1));
+        let extras = cluster.take_extras();
+        assert_eq!(extras.get("node1.failed"), Some(1.0));
+        assert_eq!(extras.get("jobs_requeued"), Some(2.0));
+        assert_eq!(extras.get("jobs_orphaned"), None, "no requeue forgotten");
+        assert_eq!(extras.get("node0.jobs"), Some(4.0));
+        assert_eq!(extras.get("nodes"), Some(1.0));
+    }
+
+    #[test]
+    fn collect_trace_repairs_a_death_it_discovers() {
+        // As above, but the trace pull is the first call to read the
+        // dead link. It repairs there, so node 1 leaves routing and no
+        // later RPC waits out the deadline on its silent link.
+        let base = base_session(36)
+            .metrics(MetricsConfig::default().with_trace())
+            .fault_schedule(FaultSchedule::new(36).kill(1, 1));
+        let mut cluster = ClusterBuilder::new(base, 2)
+            .route(RoutePolicy::RoundRobin)
+            .build_sim();
+        for j in 0..4 {
+            Executor::submit(&mut cluster, chain_job(j)).unwrap();
+        }
+        let trace = cluster.collect_trace().unwrap();
+        assert_eq!(trace.nodes.len(), 1, "only node 0 survives");
+        assert_eq!(trace.total_spans(), 0, "nothing has executed yet");
+        assert!(!cluster.is_alive(1));
+        let stats = cluster.drain().unwrap();
+        assert_eq!(stats.jobs.len(), 4, "the requeued jobs ran on node 0");
+        let extras = cluster.take_extras();
+        assert_eq!(extras.get("node1.failed"), Some(1.0));
+        assert_eq!(extras.get("jobs_requeued"), Some(2.0));
+        assert_eq!(extras.get("node0.jobs"), Some(4.0));
+        let trace = cluster.collect_trace().unwrap();
+        assert_eq!(trace.nodes.len(), 1);
+        assert!(trace.total_spans() >= 16, "spans: {}", trace.total_spans());
     }
 
     #[test]

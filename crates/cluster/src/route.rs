@@ -2,13 +2,16 @@
 //!
 //! Every policy is a pure function of (policy state, seeded RNG, the
 //! load view) — no clocks, no thread identity — so a fixed route seed
-//! makes the whole routing sequence reproducible. The load view is fed
-//! exclusively by per-node reports shipped back over the message layer
-//! (`wire::T_LOAD`), never by dispatcher-side guessing: because every
-//! node pushes a fresh report *before* acknowledging a command, the
-//! view is exact by the time the next routing decision runs, which is
-//! what makes [`RoutePolicy::LeastOutstanding`] and
-//! [`RoutePolicy::PowerOfTwo`] deterministic for the simulator backend.
+//! makes the whole routing sequence reproducible. The load view is the
+//! dispatcher's own count: per node, the last report read with one of
+//! its replies (`wire::T_LOAD`) plus every job routed there since.
+//! Admissions are one-way, and a node's count moves between two of its
+//! replies only by the jobs routed to it, so without faults the view is
+//! exact at every routing decision; and since reports are read only at
+//! points the serial dispatcher chose, it is a pure function of the
+//! submission sequence — what makes [`RoutePolicy::LeastOutstanding`]
+//! and [`RoutePolicy::PowerOfTwo`] deterministic for the simulator
+//! backend.
 //!
 //! With per-node admission bounds (`SessionBuilder::max_outstanding`),
 //! every decision is also checked against the node's bound: a full pick
@@ -63,11 +66,11 @@ impl RoutePolicy {
 }
 
 /// One routing decision, or `None` to shed the job. `loads[i]` is node
-/// `i`'s last reported outstanding-job count, `limits[i]` its admission
-/// bound (`f64::INFINITY` when unbounded), and `alive[i]` the
-/// dispatcher's membership view (dead or removed nodes are never
-/// picked); `rr` is the round-robin cursor (advanced by the caller's
-/// borrow).
+/// `i`'s outstanding-job count in the dispatcher's load view,
+/// `limits[i]` its admission bound (`f64::INFINITY` when unbounded),
+/// and `alive[i]` the dispatcher's membership view (dead or removed
+/// nodes are never picked); `rr` is the round-robin cursor (advanced
+/// by the caller's borrow).
 ///
 /// Non-shedding policies pick exactly as they always did — limits never
 /// bend the choice, they only turn a full pick into `None` (so the

@@ -7,7 +7,7 @@
 //! included — so there is no codec and nothing to misframe. The link is
 //! in-process; a socket transport would add a codec at this boundary.
 //! Every frame goes out on the tag of its plane ([`Frame::tag`]), so a
-//! receive on one tag only ever yields that plane's variant.
+//! receive on one tag only ever yields that plane's variants.
 
 use das_core::exec::{ExecError, ExecExtras};
 use das_core::jobs::{JobSpec, JobStats, StreamStats};
@@ -16,21 +16,22 @@ use das_msg::Endpoint;
 
 /// Dispatcher → node commands.
 pub(crate) const T_CTRL: u32 = 1;
-/// Node → dispatcher command replies.
+/// Node → dispatcher command replies and admission refusals.
 pub(crate) const T_ACK: u32 = 2;
-/// Node → dispatcher unsolicited load reports (outstanding jobs),
-/// pushed before every reply so the dispatcher's routing view is
-/// current by the time a command completes. Collapsed to the newest
-/// report with [`das_msg::Endpoint::try_recv_latest`].
+/// Node → dispatcher load reports (outstanding jobs). A node posts its
+/// newest report just before each reply, so the dispatcher reads it
+/// right after the reply — only ever at a point the dispatcher chose.
+/// Collapsed to the newest report with
+/// [`das_msg::Endpoint::try_recv_latest`].
 pub(crate) const T_LOAD: u32 = 3;
-/// Node → dispatcher unsolicited metrics snapshots, pushed immediately
-/// *before* the load report they ride with — the dispatcher's
-/// keep-latest read then always observes a snapshot at least as fresh
-/// as the load value it routes on. The pair shares **one** fault
-/// decision: a `DropLoadReports`/`DelayLoadReports` token that
-/// suppresses (or staleness-shifts) the load report does the same to
-/// the snapshot. Cumulative counters make the stream loss-tolerant:
-/// any later snapshot subsumes a dropped one.
+/// Node → dispatcher metrics snapshots, posted immediately *before* the
+/// load report they ride with — the dispatcher's keep-latest read then
+/// always observes a snapshot at least as fresh as the load value beside
+/// it. The pair shares **one** fault decision: a
+/// `DropLoadReports`/`DelayLoadReports` token that suppresses (or
+/// staleness-shifts) the load report does the same to the snapshot.
+/// Cumulative counters make the stream loss-tolerant: any later
+/// snapshot subsumes a dropped one.
 pub(crate) const T_METRICS: u32 = 4;
 
 /// The dispatcher's rank on every per-node link.
@@ -47,6 +48,10 @@ pub(crate) enum Frame<G> {
     Command(Command<G>),
     /// Node → dispatcher, on [`T_ACK`].
     Reply(Reply),
+    /// Node → dispatcher, on [`T_ACK`]: the node refused an admission
+    /// carrying these cluster ids, for this reason. The only reply an
+    /// admission ever causes.
+    Refused(Vec<u64>, ExecError),
     /// Node → dispatcher outstanding-job count, on [`T_LOAD`].
     Load(f64),
     /// Node → dispatcher metrics snapshot, on [`T_METRICS`].
@@ -58,7 +63,7 @@ impl<G> Frame<G> {
     pub(crate) fn tag(&self) -> u32 {
         match self {
             Frame::Command(_) => T_CTRL,
-            Frame::Reply(_) => T_ACK,
+            Frame::Reply(_) | Frame::Refused(..) => T_ACK,
             Frame::Load(_) => T_LOAD,
             Frame::Snapshot(_) => T_METRICS,
         }
@@ -71,15 +76,17 @@ pub(crate) fn post<G>(ep: &Endpoint<Frame<G>>, dst: usize, frame: Frame<G>) {
 }
 
 /// Dispatcher → node commands. Each is answered by exactly one
-/// [`Reply`] (unless a `DropAcks` fault withholds it), except
-/// `Shutdown`, which ends the agent.
+/// [`Reply`] (unless a `DropAcks` fault withholds it), except `Admit`,
+/// which is one-way, and `Shutdown`, which ends the agent.
 pub(crate) enum Command<G> {
-    /// Admit one job; answered by [`Ack::Submitted`].
-    Submit(JobSpec<G>),
-    /// Admit a sub-batch in one frame — the amortisation the batch
-    /// ingress path exists for; answered by [`Ack::SubmittedMany`].
-    SubmitMany(Vec<JobSpec<G>>),
-    /// Redeem the node-local job id; answered by [`Ack::Waited`].
+    /// Admit jobs under their cluster ids (`ids[i]` names `specs[i]`),
+    /// in order: one frame per touched node per submission. Unanswered
+    /// unless the node refuses it ([`Frame::Refused`]).
+    Admit {
+        ids: Vec<u64>,
+        specs: Vec<JobSpec<G>>,
+    },
+    /// Redeem the cluster job id; answered by [`Ack::Waited`].
     Wait(u64),
     /// Drain the node; answered by [`Ack::Drained`].
     Drain,
@@ -92,6 +99,17 @@ pub(crate) enum Command<G> {
     PullTrace,
     /// Stop the agent. `Cluster::drop` sends it last.
     Shutdown,
+}
+
+impl<G> Command<G> {
+    /// Whether serving this command executes the node's pending batch
+    /// (the recovery plane's at-most-once boundary).
+    pub(crate) fn executes(&self) -> bool {
+        matches!(
+            self,
+            Command::Wait(_) | Command::Drain | Command::DrainSummary
+        )
+    }
 }
 
 /// Node → dispatcher replies.
@@ -107,36 +125,37 @@ pub(crate) enum Reply {
 impl Reply {
     /// The outcome of a reply that arrived on node `node`'s link,
     /// attributed to that node: a death frame becomes
-    /// [`ExecError::NodeFailed`] for this link, and a `Rejected` or
-    /// `Failed` reason gains a `node {node}: ` prefix. The match names
-    /// every [`ExecError`] variant, so a new one must decide here how
-    /// it crosses the link.
+    /// [`ExecError::NodeFailed`] for this link, and an error is
+    /// attributed by [`on_link`].
     pub(crate) fn on_link(self, node: usize) -> Result<Ack, ExecError> {
-        let e = match self {
-            Reply::Ack(Ok(ack)) => return Ok(ack),
-            Reply::Ack(Err(e)) => e,
-            Reply::NodeDown => return Err(ExecError::NodeFailed { node }),
-        };
-        Err(match e {
-            ExecError::Rejected(why) => ExecError::Rejected(format!("node {node}: {why}")),
-            ExecError::Failed(why) => ExecError::Failed(format!("node {node}: {why}")),
-            ExecError::NodeFailed { .. } => ExecError::NodeFailed { node },
-            e @ (ExecError::UnknownTicket(_)
-            | ExecError::Overloaded { .. }
-            | ExecError::Timeout { .. }) => e,
-        })
+        match self {
+            Reply::Ack(ack) => ack.map_err(|e| on_link(e, node)),
+            Reply::NodeDown => Err(ExecError::NodeFailed { node }),
+        }
+    }
+}
+
+/// A node's error as it crosses node `node`'s link: a `Rejected` or
+/// `Failed` reason gains a `node {node}: ` prefix, and a `NodeFailed`
+/// names this link. The match names every [`ExecError`] variant, so a
+/// new one must decide here how it crosses the link.
+pub(crate) fn on_link(e: ExecError, node: usize) -> ExecError {
+    match e {
+        ExecError::Rejected(why) => ExecError::Rejected(format!("node {node}: {why}")),
+        ExecError::Failed(why) => ExecError::Failed(format!("node {node}: {why}")),
+        ExecError::NodeFailed { .. } => ExecError::NodeFailed { node },
+        e @ (ExecError::UnknownTicket(_)
+        | ExecError::Overloaded { .. }
+        | ExecError::Timeout { .. }) => e,
     }
 }
 
 /// The successful answer to each [`Command`].
 pub(crate) enum Ack {
-    /// The node-local id of the admitted job.
-    Submitted(u64),
-    /// The node-local ids of the admitted sub-batch, in batch order.
-    SubmittedMany(Vec<u64>),
-    /// The waited job's record, under its node-local id.
+    /// The waited job's record, under its cluster id.
     Waited(JobStats),
-    /// The node's drained stream and its extras since the last drain.
+    /// The node's drained stream (records under cluster ids) and its
+    /// extras since the last drain.
     Drained(StreamStats, ExecExtras),
     /// The answer to [`Command::DrainSummary`].
     Summary(Box<Summary>),

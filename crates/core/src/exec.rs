@@ -315,7 +315,11 @@ impl ExecReport {
 ///
 /// * [`submit`](Executor::submit) accepts a [`JobSpec`] (validating its
 ///   graph) and returns a [`Ticket`]. It never blocks on execution —
-///   batch backends may defer all work to the next `wait`/`drain`.
+///   batch backends may defer all work to the next `wait`/`drain`. On
+///   a distributed backend (the cluster tier) the ticket means
+///   *routed*: `submit` does not wait for the node, so a node failure
+///   surfaces at the next `wait` or `drain`, where the backend's
+///   recovery takes over.
 /// * [`wait`](Executor::wait) blocks until the ticket's job has
 ///   completed and returns its [`JobStats`], *consuming* the job's
 ///   drain record: a job collected by ticket is not also reported by
@@ -341,7 +345,10 @@ pub trait Executor {
     /// Stable name of the backend, for reports and logs.
     fn backend(&self) -> &'static str;
 
-    /// Accept a job for execution; returns the ticket to `wait` on.
+    /// Accept a job for execution; returns the ticket to `wait` on. An
+    /// invalid graph is rejected here on every backend; a distributed
+    /// backend's ticket means the job was routed, and a node failure
+    /// after that surfaces at the next `wait` or `drain`.
     fn submit(&mut self, spec: JobSpec<Self::Graph>) -> Result<Ticket, ExecError>;
 
     /// Accept a whole batch of jobs in one call, returning one ticket

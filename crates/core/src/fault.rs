@@ -51,32 +51,39 @@ pub enum FaultKind {
         /// Jobs the node admits before dying.
         after_jobs: u64,
     },
-    /// The node's next `count` load-report frames are silently dropped:
-    /// the dispatcher keeps routing on its last known (stale) load view
-    /// for this node.
+    /// The node's next `count` load reports are silently dropped (a
+    /// node takes one at every admission, wait and drain, and delivers
+    /// the newest with its next reply): when the report a reply would
+    /// have carried is dropped, the dispatcher keeps routing on its own
+    /// view for this node — the last report it read plus the jobs it
+    /// routed there since.
     DropLoadReports {
         /// Frames to drop.
         count: u64,
     },
-    /// The node's next `count` load-report frames are delayed by one
-    /// report each: the dispatcher receives the *previous* report's
-    /// value instead of the current one (stale by one step).
+    /// The node's next `count` load reports are delayed by one report
+    /// each: the report carries the *previous* report's value instead
+    /// of the current one (stale by one step), so a reply that delivers
+    /// it hands the dispatcher a stale count.
     DelayLoadReports {
         /// Frames to delay.
         count: u64,
     },
-    /// The node executes its next `count` commands but withholds the
-    /// acknowledgement frames, forcing the dispatcher's typed RPC
-    /// deadline (`ExecError::Timeout`) to fire instead of blocking
-    /// forever.
+    /// The node executes its next `count` answered commands (waits,
+    /// drains, trace pulls) but withholds their reply frames, forcing
+    /// the dispatcher's typed RPC deadline (`ExecError::Timeout`) to
+    /// fire instead of blocking forever. Admissions send no reply, so
+    /// they spend no token.
     DropAcks {
         /// Acknowledgements to withhold.
         count: u64,
     },
     /// The node is marked slow: every load report it sends is inflated
     /// by `factor`, so load-aware routing policies steer work away from
-    /// it. The node still executes correctly — this models a thermally
-    /// throttled or contended board, not a broken one.
+    /// it once a reply has delivered a report (between replies the
+    /// dispatcher counts each job it routes there as one). The node
+    /// still executes correctly — this models a thermally throttled or
+    /// contended board, not a broken one.
     Slow {
         /// Multiplier applied to the node's reported load (≥ 1.0 means
         /// "looks busier than it is").
@@ -161,8 +168,8 @@ impl FaultSchedule {
         self
     }
 
-    /// Make `node` execute its next `count` commands without sending
-    /// the acknowledgement. See [`FaultKind::DropAcks`].
+    /// Make `node` execute its next `count` answered commands without
+    /// sending the reply. See [`FaultKind::DropAcks`].
     pub fn drop_acks(mut self, node: usize, count: u64) -> Self {
         self.events.push(FaultEvent {
             node,
@@ -282,7 +289,7 @@ impl FaultPlane {
         }
     }
 
-    /// Should the next acknowledgement be withheld? Consumes one token.
+    /// Should the next reply be withheld? Consumes one token.
     pub fn drop_ack(&mut self) -> bool {
         if self.drop_acks > 0 {
             self.drop_acks -= 1;

@@ -297,9 +297,11 @@ impl<E: Executor> Ingress<E> {
         // inversion is possible; serialising claim redeemers behind the
         // backend lock is the group-commit design (flush + redeem are
         // one atomic step against concurrent submitters).
-        let stats = backend.exec.wait(claim)?;
+        // The claim is gone either way, so its slot returns on both
+        // paths: `drain` only frees the slots of claims still mapped.
+        let stats = backend.exec.wait(claim);
         self.outstanding.fetch_sub(1, Ordering::AcqRel);
-        Ok(stats)
+        stats
     }
 
     /// Flush, then drain the backend: every admitted job retires and
@@ -383,6 +385,8 @@ mod tests {
         session: u64,
         next: u64,
         unclaimed: Vec<JobStats>,
+        /// Every `wait` fails, as on a backend that lost the job.
+        failing_waits: bool,
     }
 
     impl Instant {
@@ -391,6 +395,7 @@ mod tests {
                 session: session_tag(),
                 next: 0,
                 unclaimed: Vec::new(),
+                failing_waits: false,
             }
         }
     }
@@ -424,6 +429,9 @@ mod tests {
             let id = ticket.job();
             if ticket.session() != self.session {
                 return Err(ExecError::UnknownTicket(id));
+            }
+            if self.failing_waits {
+                return Err(ExecError::Failed("job lost".into()));
             }
             let i = self
                 .unclaimed
@@ -520,6 +528,18 @@ mod tests {
         assert!(matches!(ing.wait(stale), Err(ExecError::Rejected(_))));
         let rest = ing.drain().unwrap();
         assert_eq!(rest.jobs.len(), 2);
+    }
+
+    #[test]
+    fn a_failed_wait_still_frees_its_slot() {
+        let mut backend = Instant::new();
+        backend.failing_waits = true;
+        let ing = Ingress::with_config(backend, 2, Some(1), 42);
+        let t = ing.submit(0, JobSpec::new(1)).expect("under the limit");
+        assert!(matches!(ing.wait(t), Err(ExecError::Failed(_))));
+        assert_eq!(ing.outstanding(), 0, "the failed wait retired its job");
+        ing.submit(0, JobSpec::new(1))
+            .expect("the slot came back with the failed wait");
     }
 
     #[test]

@@ -94,6 +94,18 @@ impl<G> JobSpec<G> {
     }
 }
 
+/// A job graph that can be checked without executing it. A front that
+/// forwards jobs elsewhere (the cluster dispatcher) validates with this
+/// before it sends, so an invalid job is rejected at `submit` even
+/// though no backend answers the submission.
+pub trait Validate {
+    /// Why a graph cannot run.
+    type Error: fmt::Display;
+
+    /// `Ok` when the backends will accept the graph's structure.
+    fn validate(&self) -> Result<(), Self::Error>;
+}
+
 /// Completion record of one job, filled by the executing backend.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JobStats {

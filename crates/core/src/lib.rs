@@ -71,7 +71,7 @@ mod scheduler;
 pub use exec::{ExecError, ExecExtras, ExecReport, Executor, SessionBuilder, Ticket};
 pub use fault::{FaultEvent, FaultKind, FaultPlane, FaultSchedule};
 pub use ingress::{CachePadded, Ingress, IngressTicket};
-pub use jobs::{JobClass, JobId, JobSpec, JobStats, StreamStats};
+pub use jobs::{JobClass, JobId, JobSpec, JobStats, StreamStats, Validate};
 pub use metrics::{
     ExecProbe, LogHistogram, MetricKind, MetricsConfig, MetricsReport, NodeSnapshot, TraceSpan,
 };

@@ -385,13 +385,15 @@ impl MetricsReport {
 /// Opt-in observability configuration
 /// ([`SessionBuilder::metrics`](crate::exec::SessionBuilder::metrics)).
 ///
-/// Snapshot cadence is **logical**: a node emits a fresh snapshot after
-/// every `snapshot_every` admitted jobs and at every drain epoch. No
-/// wall-clock is read anywhere on the metrics path, so an all-sim
-/// cluster run with metrics enabled stays a pure function of the seed.
+/// Snapshot cadence is **logical**: a node takes a fresh snapshot after
+/// every `snapshot_every` admitted jobs and at every drain epoch, and
+/// delivers the newest one with its next reply to the dispatcher (a
+/// `wait`, drain or trace pull on that node). No wall-clock is read
+/// anywhere on the metrics path, so an all-sim cluster run with metrics
+/// enabled stays a pure function of the seed.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MetricsConfig {
-    /// Emit a snapshot after this many admitted jobs (and always at
+    /// Take a snapshot after this many admitted jobs (and always at
     /// drain). Default 32.
     pub snapshot_every: u64,
     /// Also record execution trace spans for the unified multi-node

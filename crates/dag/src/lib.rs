@@ -348,6 +348,14 @@ impl Dag {
     }
 }
 
+impl das_core::Validate for Dag {
+    type Error = DagError;
+
+    fn validate(&self) -> Result<(), DagError> {
+        Dag::validate(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -128,6 +128,14 @@ impl TaskGraph {
     }
 }
 
+impl das_core::Validate for TaskGraph {
+    type Error = DagError;
+
+    fn validate(&self) -> Result<(), DagError> {
+        TaskGraph::validate(self)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,8 +5,9 @@
 //!
 //! * a clean 4-node cluster (the baseline),
 //! * the same cluster with a `FaultSchedule` that kills node 3 at its
-//!   second admitted job — the dispatcher detects the death through the
-//!   agent's death frame, requeues the stranded work onto the
+//!   second admitted job — admission is one-way, so the drain detects
+//!   the death through the agent's death frame, requeues the stranded
+//!   work (everything routed to node 3, none of it begun) onto the
 //!   survivors, and the full stream still completes,
 //! * a 2-node cluster scaled to 3 and back down mid-stream — the
 //!   leaving node's queue drains onto its peers before the agent shuts

@@ -18,11 +18,11 @@
 //!   mid-stream takes traffic, a removed node's queue drains onto its
 //!   peers before departure.
 
-use das::cluster::{ClusterBuilder, RoutePolicy};
-use das::core::jobs::JobSpec;
+use das::cluster::{Cluster, ClusterBuilder, RoutePolicy};
+use das::core::jobs::{JobId, JobSpec, StreamStats};
 use das::core::Policy;
 use das::dag::Dag;
-use das::exec::{ExecError, ExecReport, Executor, SessionBuilder};
+use das::exec::{ExecError, ExecReport, Executor, SessionBuilder, Ticket};
 use das::sim::Simulator;
 use das::topology::Topology;
 use das::workloads::arrivals::{JobShape, StreamConfig};
@@ -69,9 +69,12 @@ fn a_mid_stream_kill_completes_every_job_on_the_survivors() {
     assert_eq!(report.tasks(), baseline.tasks());
     let ids: Vec<u64> = report.jobs.jobs.iter().map(|j| j.id.0).collect();
     assert_eq!(ids, (0..14).collect::<Vec<_>>(), "ids stay dense");
-    // The failure is attributed, the recovery is counted.
+    // The failure is attributed, the recovery is counted: node 3's
+    // three jobs (3, 7 and 11 — it admitted 3 and died at 7) had not
+    // begun when the drain discovered the death, so all three requeue.
     assert_eq!(report.extras.get("node3.failed"), Some(1.0));
-    assert_eq!(report.extras.get("jobs_requeued"), Some(1.0));
+    assert_eq!(report.extras.get("jobs_requeued"), Some(3.0));
+    assert_eq!(report.extras.get("retries"), None);
     assert_eq!(report.extras.get("jobs_lost"), None, "nothing was lost");
     assert_eq!(report.extras.get("nodes"), Some(3.0), "3 survivors");
     // The dead node kept its pre-death work; the survivors absorbed the
@@ -118,28 +121,41 @@ fn withheld_acks_become_typed_timeouts_not_hangs() {
         .rpc_deadline(Duration::from_millis(2))
         .rpc_attempts(2)
         .build_sim();
-    let err = cluster.submit(stream().remove(0)).unwrap_err();
+    // Admission is one-way: there is no ack to withhold, so the token
+    // waits for the first reply — the drain's.
+    let t = cluster
+        .submit(stream().remove(0))
+        .expect("admission sends nothing back");
+    let err = cluster.drain().unwrap_err();
     assert!(
         matches!(err, ExecError::Timeout { waited_ms: _ }),
         "{err:?}"
     );
-    // The node silently admitted the job; its unclaimed record is
-    // surfaced as an orphan at the next drain, never invented as a
+    // The node did drain; its record left with the withheld reply, and
+    // the failed drain retired the ticket — never invented as a
     // completion.
+    assert_eq!(cluster.wait(t), Err(ExecError::UnknownTicket(JobId(0))));
     let stats = cluster.drain().expect("drain recovers after the timeout");
     assert!(stats.jobs.is_empty());
-    assert_eq!(cluster.take_extras().get("jobs_orphaned"), Some(1.0));
+    assert_eq!(cluster.take_extras().get("jobs_orphaned"), None);
 }
 
 #[test]
 fn a_fully_dead_fleet_fails_typed_instead_of_hanging() {
-    // The single node dies before admitting anything: submission must
-    // surface a typed error once no live node remains.
+    // The single node dies at its first admission. The submission only
+    // routes, so it succeeds; the wait discovers the death and, with no
+    // survivor to requeue onto, redeems the job as lost. Once no live
+    // node remains, submission itself fails typed.
     let base = base_session(9).fault_schedule(FaultSchedule::new(9).kill(0, 0));
     let mut cluster = ClusterBuilder::new(base, 1).build_sim();
+    let t = cluster
+        .submit(stream().remove(0))
+        .expect("routed before the death is known");
+    assert_eq!(cluster.live_nodes(), 1);
+    assert_eq!(cluster.wait(t), Err(ExecError::NodeFailed { node: 0 }));
+    assert_eq!(cluster.live_nodes(), 0);
     let err = cluster.submit(stream().remove(0)).unwrap_err();
     assert!(matches!(err, ExecError::Failed(_)), "{err:?}");
-    assert_eq!(cluster.live_nodes(), 0);
     // Drop with a dead fleet must not hang either.
     drop(cluster);
 }
@@ -173,4 +189,92 @@ fn membership_churn_mid_stream_loses_no_jobs() {
         .map(|n| extras.get(&format!("node{n}.jobs")).unwrap_or(0.0))
         .sum();
     assert_eq!(routed as usize, 14);
+}
+
+/// Drives `jobs` through `cluster` in rounds of 4 submissions; after
+/// each round it waits on the round's first job on each node, so every
+/// node that took work replies — and its load report reaches the
+/// dispatcher — mid-stream, then drains. Returns the node each job was
+/// routed to and the report over the waited and drained records.
+fn rounds_with_waits(
+    cluster: &mut Cluster<Dag>,
+    jobs: Vec<JobSpec<Dag>>,
+) -> (Vec<usize>, ExecReport) {
+    let mut routed = Vec::new();
+    let mut records = Vec::new();
+    let mut jobs = jobs.into_iter().peekable();
+    while jobs.peek().is_some() {
+        let mut firsts: Vec<(usize, Ticket)> = Vec::new();
+        for spec in jobs.by_ref().take(4) {
+            let t = cluster.submit(spec).expect("routed");
+            let node = cluster.node_of(&t).expect("just routed");
+            routed.push(node);
+            if firsts.iter().all(|(n, _)| *n != node) {
+                firsts.push((node, t));
+            }
+        }
+        for (_, t) in firsts {
+            records.push(cluster.wait(t).expect("redeemed"));
+        }
+    }
+    records.extend(cluster.drain().expect("drains").jobs);
+    let report = ExecReport::new(
+        cluster.backend(),
+        StreamStats::from_jobs(records),
+        cluster.take_extras(),
+    );
+    (routed, report)
+}
+
+/// Jobs routed to each of `nodes` nodes.
+fn per_node(routed: &[usize], nodes: usize) -> Vec<usize> {
+    (0..nodes)
+        .map(|n| routed.iter().filter(|&&r| r == n).count())
+        .collect()
+}
+
+#[test]
+fn a_slow_node_receives_fewer_jobs_under_least_outstanding() {
+    // The load view is the last report read with a node's reply plus
+    // the jobs routed there since; `slow(1, 4.0)` inflates node 1's
+    // reports fourfold, so each of its waits pushes it away.
+    let run = |faults: FaultSchedule| {
+        let base = base_session(12).fault_schedule(faults);
+        let mut cluster = ClusterBuilder::new(base, 2)
+            .route(RoutePolicy::LeastOutstanding)
+            .build_sim();
+        let (routed, report) = rounds_with_waits(&mut cluster, stream());
+        assert_eq!(report.jobs.jobs.len(), 14, "every job completes");
+        per_node(&routed, 2)
+    };
+    assert_eq!(run(FaultSchedule::new(12)), vec![7, 7]);
+    assert_eq!(run(FaultSchedule::new(12).slow(1, 4.0)), vec![10, 4]);
+}
+
+#[test]
+fn a_load_faulted_power_of_two_run_is_bit_reproducible() {
+    // Every load fault at once on a load-sensitive policy: the view
+    // (reports read only at sync points, plus the jobs routed since) is
+    // a pure function of the schedule, so routing, recovery and every
+    // record repeat exactly.
+    let run = || {
+        let faults = FaultSchedule::new(13)
+            .slow(1, 3.0)
+            .drop_load_reports(2, 2)
+            .delay_load_reports(0, 3)
+            .kill(3, 2);
+        let base = base_session(13).fault_schedule(faults);
+        let mut cluster = ClusterBuilder::new(base, 4)
+            .route(RoutePolicy::PowerOfTwo)
+            .build_sim();
+        rounds_with_waits(&mut cluster, stream())
+    };
+    let (routed, report) = run();
+    assert_eq!(report.jobs.jobs.len(), 14, "every job completes");
+    assert_eq!(
+        report.extras.get("node3.failed"),
+        Some(1.0),
+        "the kill fired"
+    );
+    assert_eq!((routed.clone(), report.clone()), run());
 }
